@@ -20,7 +20,7 @@
 //!   `BENCH_dist.json` at the repo root); CI smoke runs point this at a
 //!   scratch file so the committed baseline is never clobbered.
 
-use soi_core::SoiParams;
+use soi_core::{SoiParams, ThreadPool};
 use soi_dist::{ChargePolicy, DistSoiFft, PhaseTimes};
 use soi_num::Complex64;
 use soi_simnet::Cluster;
@@ -119,7 +119,7 @@ fn end_to_end(n: usize) -> (f64, PhaseTimes, PhaseTimes) {
     let t0 = Instant::now();
     let wire_times = run_loopback(RANKS, WireConfig::default(), move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run(comm, local, ChargePolicy::WallClock).expect("soi run").1
+        dr.run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial()).expect("soi run").1
     })
     .expect("loopback mesh")
     .iter()
@@ -129,7 +129,10 @@ fn end_to_end(n: usize) -> (f64, PhaseTimes, PhaseTimes) {
     let sim_times = Cluster::ideal(RANKS)
         .run_collect(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-            dr.run(comm, local, ChargePolicy::WallClock).expect("soi run").1
+            dr
+                .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+                .expect("soi run")
+                .1
         })
         .iter()
         .fold(PhaseTimes::default(), |acc, t| acc.max_with(t));

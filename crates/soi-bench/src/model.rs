@@ -45,7 +45,7 @@ impl Scenario {
 }
 
 /// Per-rank phase times of the distributed SOI transform (mirrors
-/// `soi_dist::DistSoiFft::run`'s charges exactly).
+/// `soi_dist::DistSoiFft::execute`'s charges exactly).
 pub fn soi_phases(s: &Scenario) -> PhaseTimes {
     let m = s.points_per_node;
     let p = s.nodes;

@@ -1,7 +1,7 @@
 //! Real simulated-cluster runs: correctness + charged virtual time.
 
 use crate::model::Scenario;
-use soi_core::SoiParams;
+use soi_core::{SoiParams, ThreadPool};
 use soi_dist::{BaselineFft, ChargePolicy, DistSoiFft, ExchangeVariant, PhaseTimes};
 use soi_num::Complex64;
 use soi_simnet::{Cluster, Fabric};
@@ -38,7 +38,7 @@ pub fn run_soi(
     let (xr, distr) = (&x, &dist);
     let out = Cluster::new(p, fabric).run(move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        distr.run(comm, local, policy).expect("soi run")
+        distr.run_with(comm, local, policy, &ThreadPool::serial()).expect("soi run")
     });
     finish(out, &x)
 }

@@ -1,9 +1,10 @@
 //! Subcommand implementations for the `soi` binary.
 
 use crate::args::{Args, JobGeometry};
-use soi_core::{SoiFft, SoiParams, SoiRealWorkspace, SoiWorkspace, ThreadPool};
+use soi_core::{Domain, SoiFft, SoiParams, SoiWorkspace, ThreadPool, Workspace, Zoom};
 use soi_dist::{BaselineFft, ChargePolicy, ComputeRates, DistSoiFft, ExchangeVariant, PhaseTimes};
 use soi_num::Complex64;
+use soi_serve::preset_for_digits;
 use soi_simnet::{Cluster, Fabric, RankComm};
 use soi_trace::{Event, Trace, TraceSet};
 use soi_window::{design_compact, design_gaussian, design_two_param};
@@ -19,7 +20,8 @@ USAGE:
                 [--threads <t>] [--input complex|real]
       Run a SOI transform on a synthetic signal; checks against an exact
       FFT and prints accuracy and timing. --band computes one M-bin zoom
-      band starting at bin k0 instead of the full spectrum. --threads
+      band starting at bin k0 < N instead of the full spectrum (for
+      either --input). --threads
       fans the compute stages across t workers (default 1 = serial); the
       result is bitwise identical for every worker count. --input real
       runs the r2c pipeline (real samples in, packed N/2+1 half-spectrum
@@ -112,24 +114,12 @@ fn synthetic(n: usize) -> Vec<Complex64> {
         .collect()
 }
 
-fn preset_for_digits(digits: usize) -> Result<soi_window::AccuracyPreset, String> {
-    use soi_window::AccuracyPreset::*;
-    Ok(match digits {
-        0..=10 => Digits10,
-        11 => Digits11,
-        12 => Digits12,
-        13 => Digits13,
-        _ => Full,
-    })
-}
-
 /// `soi transform`.
 pub fn transform(a: &Args) -> CmdResult {
     a.restrict(&["n", "p", "digits", "band", "threads", "input"])?;
     let geo = JobGeometry::from_args(a, 1 << 16, 8)?;
     let JobGeometry { n, p, digits, threads } = geo;
-    let preset = preset_for_digits(digits)?;
-    let params = SoiParams::with_preset(n, p, preset)?;
+    let params = SoiParams::with_preset(n, p, preset_for_digits(digits))?;
     let soi = SoiFft::new(&params)?;
     let cfg = *soi.config();
     println!(
@@ -139,31 +129,23 @@ pub fn transform(a: &Args) -> CmdResult {
         cfg.kappa,
         cfg.predicted_error()
     );
-    match a.get("input").unwrap_or("complex") {
-        "complex" => {}
-        "real" => return transform_real(&soi, n, threads),
+    let real = match a.get("input").unwrap_or("complex") {
+        "complex" => false,
+        "real" => true,
         other => return Err(format!("unknown input kind `{other}` (complex|real)").into()),
-    }
-    let x = synthetic(n);
+    };
     if let Some(k0s) = a.get("band") {
         let k0: usize = k0s.parse().map_err(|_| "--band must be an integer")?;
-        let pool = ThreadPool::new(threads);
-        let t0 = Instant::now();
-        let band = soi.transform_band_pooled(&x, k0, &pool)?;
-        let dt = t0.elapsed();
-        let (peak_bin, peak) = band
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i, v.abs()))
-            .max_by(|x, y| x.1.total_cmp(&y.1))
-            .unwrap();
-        println!(
-            "band [{k0}, {}) in {dt:?}; peak |Y| = {peak:.3} at bin {}",
-            k0 + cfg.m,
-            k0 + peak_bin
-        );
-        return Ok(());
+        return if real {
+            transform_band(&soi, &synthetic_real(n), k0, threads)
+        } else {
+            transform_band(&soi, &synthetic(n), k0, threads)
+        };
     }
+    if real {
+        return transform_real(&soi, n, threads);
+    }
+    let x = synthetic(n);
     let mut ws = SoiWorkspace::new(&soi, threads);
     let mut y = vec![Complex64::ZERO; n];
     let t0 = Instant::now();
@@ -178,19 +160,34 @@ pub fn transform(a: &Args) -> CmdResult {
     Ok(())
 }
 
+/// `soi transform --band <k0>`: one M-bin zoom band of either input kind.
+fn transform_band<S: Domain>(soi: &SoiFft, x: &[S], k0: usize, threads: usize) -> CmdResult {
+    let pool = ThreadPool::new(threads);
+    let t0 = Instant::now();
+    let band = soi.transform_zoom(x, Zoom::Band(k0), &pool)?;
+    let dt = t0.elapsed();
+    let (peak_bin, peak) = band
+        .iter()
+        .enumerate()
+        .map(|(i, v)| (i, v.abs()))
+        .max_by(|x, y| x.1.total_cmp(&y.1))
+        .expect("a band has M > 0 bins");
+    println!(
+        "band [{k0}, {}) in {dt:?}; peak |Y| = {peak:.3} at bin {}",
+        k0 + band.len(),
+        k0 + peak_bin
+    );
+    Ok(())
+}
+
 /// `soi transform --input real`: the r2c pipeline on real samples, with
 /// the complex path timed on the same (embedded) signal for the speedup.
 fn transform_real(soi: &SoiFft, n: usize, threads: usize) -> CmdResult {
-    let x: Vec<f64> = (0..n)
-        .map(|j| {
-            let t = j as f64;
-            (t * 0.37).sin() + 0.4 * (t * 1.7).cos()
-        })
-        .collect();
-    let mut ws = SoiRealWorkspace::new(soi, threads);
+    let x = synthetic_real(n);
+    let mut ws = Workspace::new(soi, threads);
     let mut y = vec![Complex64::ZERO; n / 2 + 1];
     let t0 = Instant::now();
-    soi.transform_real_into(&x, &mut y, &mut ws)?;
+    soi.transform_into(&x, &mut y, &mut ws)?;
     let real_t = t0.elapsed();
 
     let xc: Vec<Complex64> = x.iter().map(|&r| Complex64::new(r, 0.0)).collect();
@@ -258,7 +255,7 @@ pub fn simulate(a: &Args) -> CmdResult {
     a.restrict(&["nodes", "points", "fabric", "digits", "trace"])?;
     let nodes = a.get_positive("nodes", 4)?;
     let points = a.get_positive("points", 1 << 14)?;
-    let digits = a.get_usize("digits", 15)?;
+    let digits = u32::try_from(a.get_usize("digits", 15)?).unwrap_or(u32::MAX);
     let trace_path: Option<String> = a
         .get("trace")
         .map(String::from)
@@ -271,8 +268,7 @@ pub fn simulate(a: &Args) -> CmdResult {
         other => return Err(format!("unknown fabric `{other}`").into()),
     };
     let n = nodes * points;
-    let preset = preset_for_digits(digits)?;
-    let params = SoiParams::with_preset(n, nodes, preset)?;
+    let params = SoiParams::with_preset(n, nodes, preset_for_digits(digits))?;
     let dist = DistSoiFft::new(&params)?;
     // Pre-flight the partition so a bad rank count surfaces as a usage
     // error here, not inside every simulated rank.
@@ -286,7 +282,8 @@ pub fn simulate(a: &Args) -> CmdResult {
     let m = points;
     let soi_job = move |comm: &mut RankComm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run(comm, local, policy).expect("partition pre-validated")
+        dr.run_with(comm, local, policy, &ThreadPool::serial())
+            .expect("partition pre-validated")
     };
     let soi_out = if let Some(path) = &trace_path {
         let (out, traces) = Cluster::new(nodes, fabric.clone()).run_traced(&soi_job);
@@ -440,8 +437,7 @@ fn decode_result(
 /// on, pre-flighting the partition so misconfiguration fails before any
 /// socket traffic.
 fn wire_plan(geo: &JobGeometry, ranks: usize) -> Result<DistSoiFft, Box<dyn std::error::Error>> {
-    let preset = preset_for_digits(geo.digits)?;
-    let params = SoiParams::with_preset(geo.n, geo.p, preset)?;
+    let params = SoiParams::with_preset(geo.n, geo.p, preset_for_digits(geo.digits))?;
     let dist = DistSoiFft::new(&params)?;
     dist.segments_per_rank(ranks)?;
     Ok(dist)
@@ -656,7 +652,7 @@ pub fn launch(a: &Args) -> CmdResult {
     let (xr, dr) = (&x, &dist);
     let sim_out = Cluster::ideal(ranks).run_collect(move |comm| {
         let local = &xr[comm.rank() * local_pts..][..local_pts];
-        dr.run(comm, local, ChargePolicy::WallClock)
+        dr.run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
             .expect("partition pre-validated")
             .0
     });
@@ -971,7 +967,7 @@ pub fn request(a: &Args) -> CmdResult {
             tenant: tenant.clone(),
             n,
             p,
-            digits: digits as u32,
+            digits,
             kind,
             arg,
             deadline_ms,
@@ -1049,32 +1045,27 @@ fn synthetic_real(n: usize) -> Vec<f64> {
 fn local_reference(
     n: usize,
     p: usize,
-    digits: usize,
+    digits: u32,
     kind: soi_serve::RequestKind,
     arg: usize,
     samples: &soi_serve::Samples,
 ) -> Result<Vec<Complex64>, Box<dyn std::error::Error>> {
-    let params = SoiParams::with_preset(n, p, preset_for_digits(digits)?)?;
+    let params = SoiParams::with_preset(n, p, preset_for_digits(digits))?;
     let soi = SoiFft::new(&params)?;
-    use soi_serve::{RequestKind as K, Samples as S};
-    Ok(match (kind, samples) {
-        (K::Full, S::Complex(x)) => {
-            let mut ws = SoiWorkspace::new(&soi, 1);
-            let mut y = vec![Complex64::ZERO; n];
-            soi.transform_into(x, &mut y, &mut ws)?;
-            y
+    fn serial<S: Domain>(
+        soi: &SoiFft,
+        x: &[S],
+        zoom: Option<Zoom>,
+    ) -> Result<Vec<Complex64>, soi_core::SoiError> {
+        match zoom {
+            None => soi.transform(x),
+            Some(zoom) => soi.transform_zoom(x, zoom, &ThreadPool::serial()),
         }
-        (K::Segment, S::Complex(x)) => soi.transform_segment(x, arg)?,
-        (K::Band, S::Complex(x)) => soi.transform_band(x, arg)?,
-        (K::RealFull, S::Real(x)) => {
-            let mut ws = SoiRealWorkspace::new(&soi, 1);
-            let mut y = vec![Complex64::ZERO; n / 2 + 1];
-            soi.transform_real_into(x, &mut y, &mut ws)?;
-            y
-        }
-        (K::RealSegment, S::Real(x)) => soi.transform_real_segment(x, arg)?,
-        (K::RealBand, S::Real(x)) => soi.transform_real_band(x, arg)?,
-        _ => return Err("request kind does not match sample domain".into()),
+    }
+    let zoom = soi_serve::zoom_for(kind, arg);
+    Ok(match samples {
+        soi_serve::Samples::Complex(x) => serial(&soi, x, zoom)?,
+        soi_serve::Samples::Real(x) => serial(&soi, x, zoom)?,
     })
 }
 

@@ -95,13 +95,14 @@ fn launch_arg_errors_are_uniform_and_fail_fast() {
         (&["launch", "--ranks", "2", "--n", "1000", "--p", "3"][..], "does not divide"),
         (&["worker", "--n", "4096"][..], "--rendezvous"),
         (&["trace-view"][..], "--file"),
+        (&["transform", "--n", "4096", "--p", "8", "--band", "99999"][..], "out of range"),
     ] {
         let out = soi(args);
-        assert!(!out.status.success(), "{args:?} should fail");
+        assert_eq!(out.status.code(), Some(1), "{args:?} should fail with exit 1");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(
-            stderr.contains(needle),
-            "{args:?}: expected `{needle}` in\n{stderr}"
+            stderr.contains(needle) && !stderr.contains("panicked"),
+            "{args:?}: expected `{needle}` and no panic in\n{stderr}"
         );
     }
 }

@@ -16,7 +16,16 @@ pub enum SoiError {
         /// Provided element count.
         got: usize,
     },
-    /// A reused [`SoiWorkspace`](crate::workspace::SoiWorkspace) was built
+    /// A segment or band start lies outside the spectrum.
+    OutOfRange {
+        /// What was indexed: `"segment"` or `"band start"`.
+        what: &'static str,
+        /// The requested index.
+        index: usize,
+        /// The exclusive bound: `P` for a segment, `N` for a band start.
+        bound: usize,
+    },
+    /// A reused [`Workspace`](crate::workspace::Workspace) was built
     /// for a different configuration than the transform it was passed to.
     WorkspaceMismatch(String),
     /// A distributed run was asked to use a rank count incompatible with
@@ -40,6 +49,9 @@ impl std::fmt::Display for SoiError {
             SoiError::Design(e) => write!(f, "window design failed: {e}"),
             SoiError::BadInput { expected, got } => {
                 write!(f, "bad input length: expected {expected}, got {got}")
+            }
+            SoiError::OutOfRange { what, index, bound } => {
+                write!(f, "{what} {index} out of range (must be < {bound})")
             }
             SoiError::WorkspaceMismatch(msg) => {
                 write!(f, "workspace/transform mismatch: {msg}")

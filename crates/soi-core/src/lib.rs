@@ -13,8 +13,10 @@
 //!   the demodulation weights `1/ŵ(k)`, with direct-definition oracles.
 //! * [`conv`] — the optimized convolution kernel `W·x` plus the naive
 //!   pseudo-code version kept for the §6b ablation bench.
+//! * [`domain`] — [`Domain`]: what complex and real (r2c) input change
+//!   in the one stage sequence.
 //! * [`pipeline`] — [`SoiFft`]: the full transform and the
-//!   single-segment API (the Fig 1 narrative, runnable).
+//!   segment/band API (the Fig 1 narrative, runnable).
 //! * [`theorem`] — Theorem 1's operators (Samp/Peri/modulate/convolve) as
 //!   executable, testable functions.
 //! * [`opcount`] — the §5/§7.4 arithmetic accounting.
@@ -24,6 +26,7 @@
 
 pub mod coeff;
 pub mod conv;
+pub mod domain;
 pub mod errmodel;
 pub mod error;
 pub mod exact;
@@ -33,8 +36,9 @@ pub mod pipeline;
 pub mod theorem;
 pub mod workspace;
 
+pub use domain::Domain;
 pub use error::SoiError;
 pub use params::{SoiConfig, SoiParams};
-pub use pipeline::SoiFft;
+pub use pipeline::{SoiFft, Zoom};
 pub use soi_pool::ThreadPool;
-pub use workspace::{SoiRealWorkspace, SoiWorkspace};
+pub use workspace::{SoiRealWorkspace, SoiWorkspace, Workspace};

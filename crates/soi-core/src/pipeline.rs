@@ -18,16 +18,26 @@
 //! correctness core and the per-node compute kernel.
 
 use crate::coeff::ConvCoefficients;
-use crate::conv::{convolve_pooled, convolve_real_pooled, ConvShape};
+use crate::conv::ConvShape;
+use crate::domain::Domain;
 use crate::error::SoiError;
 use crate::params::{SoiConfig, SoiParams};
-use crate::workspace::{SoiRealWorkspace, SoiWorkspace};
+use crate::workspace::{SoiRealWorkspace, Workspace};
 use soi_fft::batch::BatchFft;
-use soi_fft::permute::{stride_permute_pooled, transpose_partial_pooled};
+use soi_fft::permute::transpose_partial_pooled;
 use soi_fft::plan::{Direction, Plan, Planner};
 use soi_num::Complex64;
 use soi_pool::{part_range, SlicePtr, ThreadPool};
 use std::sync::Arc;
+
+/// Which `M` bins [`SoiFft::transform_zoom`] computes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Zoom {
+    /// Segment `s`: bins `[sM, (s+1)M)`, for `s < P`.
+    Segment(usize),
+    /// The band `[k0, k0+M)` (indices mod `N`), for any `k0 < N`.
+    Band(usize),
+}
 
 /// A prepared single-process SOI FFT.
 #[derive(Debug)]
@@ -89,15 +99,17 @@ impl SoiFft {
     }
 
     /// Full in-order forward DFT of `x` (length `N`), approximated to the
-    /// window design's accuracy.
+    /// window design's accuracy. Complex input yields all `N` bins; real
+    /// input the packed half-spectrum `y[0..=N/2]` (see
+    /// [`Self::transform_into`]).
     ///
-    /// Convenience wrapper: builds a one-shot serial [`SoiWorkspace`] and
+    /// Convenience wrapper: builds a one-shot serial [`Workspace`] and
     /// delegates to [`Self::transform_into`]. For repeated transforms or
     /// threaded execution, hold a workspace and call `transform_into`
     /// directly.
-    pub fn transform(&self, x: &[Complex64]) -> Result<Vec<Complex64>, SoiError> {
-        let mut ws = SoiWorkspace::new(self, 1);
-        let mut y = vec![Complex64::ZERO; self.cfg.n];
+    pub fn transform<S: Domain>(&self, x: &[S]) -> Result<Vec<Complex64>, SoiError> {
+        let mut ws = Workspace::new(self, 1);
+        let mut y = vec![Complex64::ZERO; S::out_len(self.cfg.n)];
         self.transform_into(x, &mut y, &mut ws)?;
         Ok(y)
     }
@@ -106,31 +118,47 @@ impl SoiFft {
     /// every intermediate: zero allocations in steady state, executed on
     /// `ws`'s worker pool.
     ///
+    /// Complex input fills all `N` bins. Real input (r2c) fills the
+    /// packed half-spectrum `y[0..=N/2]`, `N/2 + 1` bins; the remaining
+    /// bins are redundant by conjugate-even symmetry
+    /// (`y[N−k] = conj(y[k])`). The stage sequence is the same; for real
+    /// input (a) the convolution runs on the real samples directly — two
+    /// real FMAs per tap instead of four, half the input bytes; (b) the
+    /// pack keeps only the non-redundant `P/2` segment lanes after `F_P`
+    /// (lane `P−s` is the conjugate mirror of lane `s` bin-reversed);
+    /// (c) `F_{M'}` + fused demodulation run on those `P/2` segments
+    /// only; and (d) the Nyquist bin is the exact alternating fold
+    /// [`nyquist_fold`]. Segments `0..P/2` run the byte-for-byte same
+    /// arithmetic as the complex path on the embedded input, so bins
+    /// `0..N/2` are bitwise identical to it. Real input requires an even
+    /// segment count `P`.
+    ///
     /// Determinism: every parallel stage assigns each output element to
     /// exactly one pure task with deterministic chunk boundaries
     /// ([`soi_pool::part_range`]), so the result is **bitwise identical**
     /// for every worker count, including fully serial.
-    pub fn transform_into(
+    pub fn transform_into<S: Domain>(
         &self,
-        x: &[Complex64],
+        x: &[S],
         y: &mut [Complex64],
-        ws: &mut SoiWorkspace,
+        ws: &mut Workspace<S>,
     ) -> Result<(), SoiError> {
         let cfg = &self.cfg;
+        let kept = S::kept_segments(cfg.p)?;
         if x.len() != cfg.n {
             return Err(SoiError::BadInput {
                 expected: cfg.n,
                 got: x.len(),
             });
         }
-        if y.len() != cfg.n {
+        if y.len() != S::out_len(cfg.n) {
             return Err(SoiError::BadInput {
-                expected: cfg.n,
+                expected: S::out_len(cfg.n),
                 got: y.len(),
             });
         }
         ws.check(self)?;
-        let SoiWorkspace {
+        let Workspace {
             pool,
             xext,
             v,
@@ -149,16 +177,17 @@ impl SoiFft {
         halo.copy_from_slice(&head[..cfg.halo_len()]);
         trace.span_end("halo", None);
         trace.span_begin("conv", None);
-        convolve_pooled(self.shape(), &self.coeffs, xext, v, pool);
+        S::convolve_pooled(self.shape(), &self.coeffs, xext, v, pool);
         trace.span_end("conv", None);
         // Stage 2: M' independent F_P over the contiguous groups.
         trace.span_begin("fft_p", None);
         self.batch_p.execute_pooled(v, pool, scratch);
         trace.span_end("fft_p", None);
         // Stage 3: stride permutation — group-major (j,s) → segment-major
-        // (s,j). In the distributed algorithm this is the all-to-all.
+        // (s,j), keeping the computed segments only. In the distributed
+        // algorithm this is the all-to-all.
         trace.span_begin("pack", None);
-        stride_permute_pooled(v, seg, cfg.m_prime, pool);
+        transpose_partial_pooled(v, seg, cfg.m_prime, cfg.p, kept, pool);
         trace.span_end("pack", None);
         trace.span_begin("fft_m", None);
         // Stage 4: per segment, F_{M'} with the projection + Ŵ⁻¹
@@ -167,10 +196,10 @@ impl SoiFft {
         // multiply, but skips one full sweep over the M' points per
         // segment). Segments are independent, so fan them across the
         // pool, one scratch stripe per worker.
-        let parts = pool.threads().min(cfg.p).max(1);
+        let parts = pool.threads().min(kept).max(1);
         let scr_len = self.plan_m.scratch_len();
         if parts == 1 {
-            for s in 0..cfg.p {
+            for s in 0..kept {
                 let row = &mut seg[s * cfg.m_prime..(s + 1) * cfg.m_prime];
                 let out = &mut y[s * cfg.m..(s + 1) * cfg.m];
                 self.plan_m
@@ -182,7 +211,7 @@ impl SoiFft {
             let scr_ptr = SlicePtr::new(scratch);
             let stride = *stride;
             pool.run(parts, |t| {
-                let (s0, sl) = part_range(cfg.p, parts, t);
+                let (s0, sl) = part_range(kept, parts, t);
                 // SAFETY: segment ranges are disjoint across tasks, each
                 // task owns scratch stripe `t`, and all borrows end at the
                 // `run` barrier.
@@ -195,227 +224,24 @@ impl SoiFft {
                 }
             });
         }
+        // Real input: the Nyquist bin is exact and costs O(N):
+        // y_{N/2} = Σ x_j(−1)^j.
+        if let Some(nyq) = S::nyquist(x) {
+            y[cfg.n / 2] = Complex64::new(nyq, 0.0);
+        }
         trace.span_end("fft_m", None);
         Ok(())
     }
 
-    /// Real-input (r2c) forward transform: the packed half-spectrum
-    /// `y[0..=N/2]` of a real signal, `N/2 + 1` complex bins. The
-    /// remaining bins are redundant by conjugate-even symmetry
-    /// (`y[N−k] = conj(y[k])`). Convenience wrapper building a one-shot
-    /// serial [`SoiRealWorkspace`]; hold a workspace and call
-    /// [`Self::transform_real_into`] for repeated transforms.
-    pub fn transform_real(&self, x: &[f64]) -> Result<Vec<Complex64>, SoiError> {
-        let mut ws = SoiRealWorkspace::new(self, 1);
-        let mut y = vec![Complex64::ZERO; self.cfg.n / 2 + 1];
-        self.transform_real_into(x, &mut y, &mut ws)?;
-        Ok(y)
-    }
-
-    /// The real-input four-stage transform into a caller buffer of
-    /// `N/2 + 1` bins, reusing `ws` for every intermediate; zero
-    /// allocations in steady state, executed on `ws`'s worker pool.
-    ///
-    /// Relative to [`Self::transform_into`] this path (a) runs the
-    /// convolution on the real samples directly — two real FMAs per tap
-    /// instead of four, half the input bytes; (b) packs only the
-    /// non-redundant `P/2` segment lanes after `F_P` (for real `x`,
-    /// lane `P−s` is the conjugate mirror of lane `s` bin-reversed, so
-    /// segments `P/2..P` of the spectrum are determined by `0..P/2`);
-    /// (c) runs `F_{M'}` + fused demodulation on those `P/2` segments
-    /// only; and (d) fills the Nyquist bin with the exact alternating
-    /// fold [`nyquist_fold`]. Segments `0..P/2` are computed by the
-    /// byte-for-byte same arithmetic as the complex path on the embedded
-    /// input, so bins `0..N/2` are bitwise identical to it, and the
-    /// whole path is bitwise deterministic for every worker count.
-    ///
-    /// Requires an even segment count `P` (the half-spectrum boundary
-    /// must fall on a segment boundary).
+    /// The real-input (r2c) [`Self::transform_into`] on a
+    /// [`SoiRealWorkspace`]: `N/2 + 1` packed half-spectrum bins.
     pub fn transform_real_into(
         &self,
         x: &[f64],
         y: &mut [Complex64],
         ws: &mut SoiRealWorkspace,
     ) -> Result<(), SoiError> {
-        let cfg = &self.cfg;
-        if cfg.p % 2 != 0 {
-            return Err(SoiError::BadSize(format!(
-                "real-input transform needs an even segment count, got P = {}",
-                cfg.p
-            )));
-        }
-        if x.len() != cfg.n {
-            return Err(SoiError::BadInput {
-                expected: cfg.n,
-                got: x.len(),
-            });
-        }
-        let half = cfg.n / 2 + 1;
-        if y.len() != half {
-            return Err(SoiError::BadInput {
-                expected: half,
-                got: y.len(),
-            });
-        }
-        ws.check(self)?;
-        let SoiRealWorkspace {
-            pool,
-            xext,
-            v,
-            seg,
-            scratch,
-            stride,
-            trace,
-            ..
-        } = ws;
-        let pool: &ThreadPool = pool;
-        let trace: &soi_trace::Trace = trace;
-        let ph = cfg.p / 2;
-        // Stage 1: real convolution over x extended with the circular halo.
-        trace.span_begin("halo", None);
-        xext[..cfg.n].copy_from_slice(x);
-        let (head, halo) = xext.split_at_mut(cfg.n);
-        halo.copy_from_slice(&head[..cfg.halo_len()]);
-        trace.span_end("halo", None);
-        trace.span_begin("conv", None);
-        convolve_real_pooled(self.shape(), &self.coeffs, xext, v, pool);
-        trace.span_end("conv", None);
-        // Stage 2: M' independent F_P over the contiguous groups.
-        trace.span_begin("fft_p", None);
-        self.batch_p.execute_pooled(v, pool, scratch);
-        trace.span_end("fft_p", None);
-        // Stage 3: conjugate-even pack — the partial transpose keeps only
-        // lanes 0..P/2 of each group. In the distributed algorithm this
-        // is the halved all-to-all.
-        trace.span_begin("pack", None);
-        transpose_partial_pooled(v, seg, cfg.m_prime, cfg.p, ph, pool);
-        trace.span_end("pack", None);
-        trace.span_begin("fft_m", None);
-        // Stage 4: per surviving segment, F_{M'} with the projection +
-        // Ŵ⁻¹ demodulation fused into the FFT's final output pass.
-        let parts = pool.threads().min(ph).max(1);
-        let scr_len = self.plan_m.scratch_len();
-        if parts == 1 {
-            for s in 0..ph {
-                let row = &mut seg[s * cfg.m_prime..(s + 1) * cfg.m_prime];
-                let out = &mut y[s * cfg.m..(s + 1) * cfg.m];
-                self.plan_m
-                    .execute_fused_into(row, &mut scratch[..scr_len], out, &self.coeffs.demod);
-            }
-        } else {
-            let seg_ptr = SlicePtr::new(seg);
-            let y_ptr = SlicePtr::new(y);
-            let scr_ptr = SlicePtr::new(scratch);
-            let stride = *stride;
-            pool.run(parts, |t| {
-                let (s0, sl) = part_range(ph, parts, t);
-                // SAFETY: segment ranges are disjoint across tasks, each
-                // task owns scratch stripe `t`, and all borrows end at the
-                // `run` barrier.
-                let scr = unsafe { scr_ptr.slice(t * stride, scr_len) };
-                for s in s0..s0 + sl {
-                    let row = unsafe { seg_ptr.slice(s * cfg.m_prime, cfg.m_prime) };
-                    let out = unsafe { y_ptr.slice(s * cfg.m, cfg.m) };
-                    self.plan_m
-                        .execute_fused_into(row, scr, out, &self.coeffs.demod);
-                }
-            });
-        }
-        // The Nyquist bin is exact and costs O(N): y_{N/2} = Σ x_j(−1)^j.
-        y[cfg.n / 2] = Complex64::new(nyquist_fold(x), 0.0);
-        trace.span_end("fft_m", None);
-        Ok(())
-    }
-
-    /// Compute only segment `s` of a **real** signal's spectrum —
-    /// `y_k for k ∈ [sM, (s+1)M)` — the r2c counterpart of
-    /// [`Self::transform_segment`]. Any `s < P` is allowed (the mirror
-    /// segments are still well-defined bins, just redundant).
-    pub fn transform_real_segment(
-        &self,
-        x: &[f64],
-        s: usize,
-    ) -> Result<Vec<Complex64>, SoiError> {
-        self.transform_real_segment_pooled(x, s, &ThreadPool::serial())
-    }
-
-    /// [`Self::transform_real_segment`] executed on a worker pool (same
-    /// determinism guarantee as [`Self::transform_segment_pooled`]).
-    pub fn transform_real_segment_pooled(
-        &self,
-        x: &[f64],
-        s: usize,
-        pool: &ThreadPool,
-    ) -> Result<Vec<Complex64>, SoiError> {
-        let cfg = &self.cfg;
-        if x.len() != cfg.n {
-            return Err(SoiError::BadInput {
-                expected: cfg.n,
-                got: x.len(),
-            });
-        }
-        assert!(s < cfg.p, "segment {s} out of range (P = {})", cfg.p);
-        let xp = self.modulate_real_ext(x, pool, |l| {
-            Complex64::root_of_unity(s * (l % cfg.p), cfg.p)
-        });
-        Ok(self.zoom_core(&xp, pool))
-    }
-
-    /// Compute an arbitrary length-`M` band of a **real** signal's
-    /// spectrum: the r2c counterpart of [`Self::transform_band`].
-    pub fn transform_real_band(&self, x: &[f64], k0: usize) -> Result<Vec<Complex64>, SoiError> {
-        self.transform_real_band_pooled(x, k0, &ThreadPool::serial())
-    }
-
-    /// [`Self::transform_real_band`] executed on a worker pool.
-    pub fn transform_real_band_pooled(
-        &self,
-        x: &[f64],
-        k0: usize,
-        pool: &ThreadPool,
-    ) -> Result<Vec<Complex64>, SoiError> {
-        let cfg = &self.cfg;
-        if x.len() != cfg.n {
-            return Err(SoiError::BadInput {
-                expected: cfg.n,
-                got: x.len(),
-            });
-        }
-        assert!(k0 < cfg.n, "band start {k0} out of range (N = {})", cfg.n);
-        let xp = self.modulate_real_ext(x, pool, |j| {
-            Complex64::root_of_unity(k0 * j % cfg.n, cfg.n)
-        });
-        Ok(self.zoom_core(&xp, pool))
-    }
-
-    /// Real-input counterpart of [`Self::modulate_ext`]:
-    /// `out[l] = phase(l)·x[l]` (a complex scale of a real sample), then
-    /// the circular halo. Same deterministic chunking.
-    fn modulate_real_ext<F>(&self, x: &[f64], pool: &ThreadPool, phase: F) -> Vec<Complex64>
-    where
-        F: Fn(usize) -> Complex64 + Sync,
-    {
-        let cfg = &self.cfg;
-        let mut out = vec![Complex64::ZERO; cfg.n + cfg.halo_len()];
-        let parts = pool.threads().min(cfg.n).max(1);
-        if parts == 1 {
-            for (l, slot) in out[..cfg.n].iter_mut().enumerate() {
-                *slot = phase(l).scale(x[l]);
-            }
-        } else {
-            let out_ptr = SlicePtr::new(&mut out);
-            pool.run(parts, |t| {
-                let (l0, ll) = part_range(cfg.n, parts, t);
-                // SAFETY: element ranges are disjoint across tasks.
-                let chunk = unsafe { out_ptr.slice(l0, ll) };
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = phase(l0 + i).scale(x[l0 + i]);
-                }
-            });
-        }
-        let (head, halo) = out.split_at_mut(cfg.n);
-        halo.copy_from_slice(&head[..cfg.halo_len()]);
-        out
+        self.transform_into(x, y, ws)
     }
 
     /// Inverse transform: recover `x` from a spectrum `y` such that
@@ -433,59 +259,55 @@ impl SoiFft {
 
     /// Compute only segment `s` of the spectrum —
     /// `y_k for k ∈ [sM, (s+1)M)` — without touching the other segments.
-    ///
-    /// This is the Fig 1 story executed literally: phase-shift the input
-    /// (`Φ_s`, the DFT shift theorem of §5), convolve against the
-    /// *contiguous* `BP`-tap window, take one `M'`-point FFT, demodulate.
-    /// Cost: `O(M'·BP + M' log M')`.
+    /// Serial [`Self::transform_zoom`] with [`Zoom::Segment`].
     pub fn transform_segment(&self, x: &[Complex64], s: usize) -> Result<Vec<Complex64>, SoiError> {
-        self.transform_segment_pooled(x, s, &ThreadPool::serial())
+        self.transform_zoom(x, Zoom::Segment(s), &ThreadPool::serial())
     }
 
-    /// [`Self::transform_segment`] executed on a worker pool: the
-    /// modulation and the row convolutions fan out across workers with
-    /// deterministic chunking, so the result is bitwise identical to the
-    /// serial path.
-    pub fn transform_segment_pooled(
-        &self,
-        x: &[Complex64],
-        s: usize,
-        pool: &ThreadPool,
-    ) -> Result<Vec<Complex64>, SoiError> {
-        let cfg = &self.cfg;
-        if x.len() != cfg.n {
-            return Err(SoiError::BadInput {
-                expected: cfg.n,
-                got: x.len(),
-            });
-        }
-        assert!(s < cfg.p, "segment {s} out of range (P = {})", cfg.p);
-        // Φ_s x: modulation by ω^{s·l}, ω = e^{−2πi/P} (§5).
-        let xp = self.modulate_ext(x, pool, |l| {
-            Complex64::root_of_unity(s * (l % cfg.p), cfg.p)
-        });
-        Ok(self.zoom_core(&xp, pool))
-    }
-
-    /// Compute an *arbitrary* length-`M` band of the spectrum:
-    /// `y_k for k ∈ [k0, k0+M)`, any `k0 < N` — a "zoom FFT" built from
-    /// the same machinery.
-    ///
-    /// [`Self::transform_segment`] handles the aligned case `k0 = sM` via
-    /// the shift diagonal `Φ_s` (§5), whose entries are P-periodic. For
-    /// general `k0` the modulation `x_j·e^{−2πi·k0·j/N}` is not periodic,
-    /// but the segment-0 extraction never needed that: it just convolves
-    /// whatever time series it is given. Cost: `O(N + M'·BP + M' log M')`.
+    /// Compute an arbitrary length-`M` band `y_k for k ∈ [k0, k0+M)` of
+    /// the spectrum. Serial [`Self::transform_zoom`] with [`Zoom::Band`].
     pub fn transform_band(&self, x: &[Complex64], k0: usize) -> Result<Vec<Complex64>, SoiError> {
-        self.transform_band_pooled(x, k0, &ThreadPool::serial())
+        self.transform_zoom(x, Zoom::Band(k0), &ThreadPool::serial())
     }
 
-    /// [`Self::transform_band`] executed on a worker pool (same
-    /// determinism guarantee as [`Self::transform_segment_pooled`]).
-    pub fn transform_band_pooled(
+    /// Segment `s` of a **real** signal's spectrum, the r2c counterpart
+    /// of [`Self::transform_segment`].
+    pub fn transform_real_segment(&self, x: &[f64], s: usize) -> Result<Vec<Complex64>, SoiError> {
+        self.transform_zoom(x, Zoom::Segment(s), &ThreadPool::serial())
+    }
+
+    /// A length-`M` band of a **real** signal's spectrum, the r2c
+    /// counterpart of [`Self::transform_band`].
+    pub fn transform_real_band(&self, x: &[f64], k0: usize) -> Result<Vec<Complex64>, SoiError> {
+        self.transform_zoom(x, Zoom::Band(k0), &ThreadPool::serial())
+    }
+
+    /// Compute `M` bins of the spectrum without the others: one segment
+    /// or an arbitrary band, of complex or real input (for real input
+    /// any segment `s < P` is allowed; the mirror segments are still
+    /// well-defined bins, just redundant).
+    ///
+    /// This is the Fig 1 story executed literally: phase-shift the input,
+    /// convolve against the *contiguous* `BP`-tap window, take one
+    /// `M'`-point FFT, demodulate. [`Zoom::Segment`] shifts by the
+    /// P-periodic diagonal `Φ_s` (the DFT shift theorem of §5). For a
+    /// general [`Zoom::Band`] start the modulation
+    /// `x_j·e^{−2πi·k0·j/N}` is not periodic, but the segment-0
+    /// extraction never needed that: it just convolves whatever time
+    /// series it is given. Cost: `O(N + M'·BP + M' log M')`.
+    ///
+    /// The modulation and the row convolutions fan out across `pool`
+    /// with deterministic chunking, so the result is bitwise identical
+    /// for every worker count.
+    ///
+    /// # Errors
+    /// [`SoiError::BadInput`] if `x` is not `N` samples;
+    /// [`SoiError::OutOfRange`] for a segment `s ≥ P` or a band start
+    /// `k0 ≥ N`.
+    pub fn transform_zoom<S: Domain>(
         &self,
-        x: &[Complex64],
-        k0: usize,
+        x: &[S],
+        zoom: Zoom,
         pool: &ThreadPool,
     ) -> Result<Vec<Complex64>, SoiError> {
         let cfg = &self.cfg;
@@ -495,43 +317,42 @@ impl SoiFft {
                 got: x.len(),
             });
         }
-        assert!(k0 < cfg.n, "band start {k0} out of range (N = {})", cfg.n);
-        // z_j = x_j·e^{−2πi·k0·j/N} shifts bin k0 to bin 0.
-        let xp = self.modulate_ext(x, pool, |j| {
-            Complex64::root_of_unity(k0 * j % cfg.n, cfg.n)
-        });
-        Ok(self.zoom_core(&xp, pool))
-    }
-
-    /// Modulate `x` pointwise by `phase` and append the circular halo:
-    /// `out[l] = x[l]·phase(l)` for `l < N`, then the first `halo_len`
-    /// modulated points again. The pointwise part fans out across the
-    /// pool; every element is written by exactly one pure task.
-    fn modulate_ext<F>(&self, x: &[Complex64], pool: &ThreadPool, phase: F) -> Vec<Complex64>
-    where
-        F: Fn(usize) -> Complex64 + Sync,
-    {
-        let cfg = &self.cfg;
-        let mut out = vec![Complex64::ZERO; cfg.n + cfg.halo_len()];
+        let (what, index, bound) = match zoom {
+            Zoom::Segment(s) => ("segment", s, cfg.p),
+            Zoom::Band(k0) => ("band start", k0, cfg.n),
+        };
+        if index >= bound {
+            return Err(SoiError::OutOfRange { what, index, bound });
+        }
+        let phase = |l: usize| match zoom {
+            // Φ_s x: modulation by ω^{s·l}, ω = e^{−2πi/P} (§5).
+            Zoom::Segment(s) => Complex64::root_of_unity(s * (l % cfg.p), cfg.p),
+            // z_j = x_j·e^{−2πi·k0·j/N} shifts bin k0 to bin 0.
+            Zoom::Band(k0) => Complex64::root_of_unity(k0 * l % cfg.n, cfg.n),
+        };
+        // Modulate pointwise, then append the circular halo (the first
+        // `halo_len` modulated points again). Every element is written
+        // by exactly one pure task.
+        let mut xp = vec![Complex64::ZERO; cfg.n + cfg.halo_len()];
         let parts = pool.threads().min(cfg.n).max(1);
         if parts == 1 {
-            for (l, slot) in out[..cfg.n].iter_mut().enumerate() {
-                *slot = x[l] * phase(l);
+            for (l, slot) in xp[..cfg.n].iter_mut().enumerate() {
+                *slot = x[l].modulate(phase(l));
             }
         } else {
-            let out_ptr = SlicePtr::new(&mut out);
+            let xp_ptr = SlicePtr::new(&mut xp);
             pool.run(parts, |t| {
                 let (l0, ll) = part_range(cfg.n, parts, t);
                 // SAFETY: element ranges are disjoint across tasks.
-                let chunk = unsafe { out_ptr.slice(l0, ll) };
+                let chunk = unsafe { xp_ptr.slice(l0, ll) };
                 for (i, slot) in chunk.iter_mut().enumerate() {
-                    *slot = x[l0 + i] * phase(l0 + i);
+                    *slot = x[l0 + i].modulate(phase(l0 + i));
                 }
             });
         }
-        let (head, halo) = out.split_at_mut(cfg.n);
+        let (head, halo) = xp.split_at_mut(cfg.n);
         halo.copy_from_slice(&head[..cfg.halo_len()]);
-        out
+        Ok(self.zoom_core(&xp, pool))
     }
 
     /// Shared tail of the segment/band extraction: row `j` of `C₀` is a
@@ -608,6 +429,7 @@ pub fn nyquist_fold(x: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workspace::SoiWorkspace;
     use soi_fft::fft_forward;
     use soi_num::complex::rel_l2_error;
     use soi_num::stats::snr_db;
@@ -719,6 +541,25 @@ mod tests {
             soi.transform(&x),
             Err(SoiError::BadInput { expected, got: 100 }) if expected == 1 << 12
         ));
+    }
+
+    #[test]
+    fn zoom_rejects_out_of_range_segment_and_band() {
+        let params = SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap();
+        let soi = SoiFft::new(&params).unwrap();
+        let (x, xr) = (signal(1 << 12), real_signal(1 << 12));
+        let pool = ThreadPool::new(2);
+        let cases = [
+            (Zoom::Segment(4), "segment", 4),
+            (Zoom::Band(1 << 12), "band start", 1 << 12),
+        ];
+        for (zoom, what, bound) in cases {
+            let want = SoiError::OutOfRange { what, index: bound, bound };
+            assert_eq!(soi.transform_zoom(&x, zoom, &pool), Err(want.clone()));
+            assert_eq!(soi.transform_zoom(&xr, zoom, &pool), Err(want));
+        }
+        assert!(soi.transform_band(&x, 99_999).is_err());
+        assert!(soi.transform_real_segment(&xr, 4).is_err());
     }
 
     #[test]
@@ -925,7 +766,7 @@ mod tests {
         let params = SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap();
         let soi = SoiFft::new(&params).unwrap();
         let x = real_signal(1 << 12);
-        let y = soi.transform_real(&x).unwrap();
+        let y = soi.transform(&x).unwrap();
         assert_eq!(y.len(), (1 << 11) + 1);
         let xc: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 0.0)).collect();
         let exact = fft_forward(&xc);
@@ -947,7 +788,7 @@ mod tests {
         let x = real_signal(1 << 12);
         let xc: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 0.0)).collect();
         let yc = soi.transform(&xc).unwrap();
-        let yr = soi.transform_real(&x).unwrap();
+        let yr = soi.transform(&x).unwrap();
         for k in 0..1 << 11 {
             assert_eq!(yr[k].re.to_bits(), yc[k].re.to_bits(), "bin {k}");
             assert_eq!(yr[k].im.to_bits(), yc[k].im.to_bits(), "bin {k}");
@@ -968,7 +809,7 @@ mod tests {
         let x = real_signal(1 << 12);
         let xc: Vec<Complex64> = x.iter().map(|&v| Complex64::new(v, 0.0)).collect();
         let yc = soi.transform(&xc).unwrap();
-        let yr = soi.transform_real(&x).unwrap();
+        let yr = soi.transform(&x).unwrap();
         let bound = cfg.predicted_error() * cfg.n as f64;
         for k in (1..cfg.n / 2).step_by(97).chain([1, cfg.n / 2 - 1]) {
             let mirror = yc[cfg.n - k];
@@ -1023,7 +864,7 @@ mod tests {
         let soi = SoiFft::new(&params).unwrap();
         let cfg = *soi.config();
         let x = real_signal(1 << 12);
-        let y = soi.transform_real(&x).unwrap();
+        let y = soi.transform(&x).unwrap();
         for s in 0..cfg.p / 2 {
             let seg = soi.transform_real_segment(&x, s).unwrap();
             let err = rel_l2_error(&seg, &y[s * cfg.m..(s + 1) * cfg.m]);
@@ -1048,14 +889,14 @@ mod tests {
         let soi = SoiFft::new(&params).unwrap();
         let x = real_signal(10_000);
         assert!(matches!(
-            soi.transform_real(&x),
+            soi.transform(&x),
             Err(SoiError::BadSize(msg)) if msg.contains("even")
         ));
 
         let params = SoiParams::with_preset(1 << 12, 4, AccuracyPreset::Digits10).unwrap();
         let soi = SoiFft::new(&params).unwrap();
         assert!(matches!(
-            soi.transform_real(&real_signal(100)),
+            soi.transform(&real_signal(100)),
             Err(SoiError::BadInput { expected, got: 100 }) if expected == 1 << 12
         ));
         let mut ws = SoiRealWorkspace::new(&soi, 1);

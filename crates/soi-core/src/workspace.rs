@@ -15,6 +15,7 @@
 //! of the same transform is the intended pattern and never requires
 //! re-zeroing — every buffer region that is read is written first.
 
+use crate::domain::Domain;
 use crate::error::SoiError;
 use crate::pipeline::SoiFft;
 use soi_num::{AlignedBuf, Complex64};
@@ -22,18 +23,21 @@ use soi_pool::ThreadPool;
 use soi_trace::Trace;
 use std::sync::Arc;
 
-/// Preallocated buffers + worker pool for allocation-free SOI execution.
+/// Preallocated buffers + worker pool for allocation-free SOI execution
+/// on input samples of type `S` ([`Complex64`] or `f64`).
 #[derive(Debug)]
-pub struct SoiWorkspace {
+pub struct Workspace<S: Domain> {
     pub(crate) pool: Arc<ThreadPool>,
-    /// Extended input: `N` points followed by the circular halo.
+    /// Extended input: `N` samples followed by the circular halo (real
+    /// input streams half the bytes of complex).
     /// All four arena buffers are [`AlignedBuf`]s: a plain `Vec` this
     /// large is mmap-served at a 16-byte offset, which costs the SIMD
     /// kernels ~25% in straddled cache-line loads.
-    pub(crate) xext: AlignedBuf<Complex64>,
+    pub(crate) xext: AlignedBuf<S>,
     /// Convolution output / `F_P` batch buffer (`N'`).
     pub(crate) v: AlignedBuf<Complex64>,
-    /// Stride-permuted segment buffer (`N'`).
+    /// Packed segment buffer: the kept segments of `M'` each (all `P`,
+    /// or `P/2` for real input).
     pub(crate) seg: AlignedBuf<Complex64>,
     /// Per-worker FFT scratch arena: `threads` stripes of `stride`.
     pub(crate) scratch: AlignedBuf<Complex64>,
@@ -46,7 +50,13 @@ pub struct SoiWorkspace {
     pub(crate) trace: Trace,
 }
 
-impl SoiWorkspace {
+/// The complex-input workspace.
+pub type SoiWorkspace = Workspace<Complex64>;
+
+/// The real-input (r2c) workspace.
+pub type SoiRealWorkspace = Workspace<f64>;
+
+impl<S: Domain> Workspace<S> {
     /// Build a workspace for `soi` with a fresh pool of `threads` workers
     /// (`1` = fully serial, spawns no threads).
     pub fn new(soi: &SoiFft, threads: usize) -> Self {
@@ -64,10 +74,13 @@ impl SoiWorkspace {
             // every worker's stripe starts 64-byte aligned, not just the
             // arena base.
             .next_multiple_of(4);
+        // A real workspace for an odd P is never run (the transform
+        // rejects the geometry first), so it gets no segment buffer.
+        let kept = S::kept_segments(cfg.p).unwrap_or(0);
         Self {
             xext: AlignedBuf::zeroed(cfg.n + cfg.halo_len()),
             v: AlignedBuf::zeroed(cfg.n_prime),
-            seg: AlignedBuf::zeroed(cfg.n_prime),
+            seg: AlignedBuf::zeroed(kept * cfg.m_prime),
             scratch: AlignedBuf::zeroed(pool.threads() * stride),
             stride,
             shape: (cfg.n, cfg.p, cfg.m_prime, cfg.halo_len()),
@@ -113,109 +126,13 @@ impl SoiWorkspace {
             .max(soi.plan_m().scratch_len());
         if self.shape != want || self.stride < stride {
             return Err(SoiError::WorkspaceMismatch(format!(
-                "workspace built for (n, p, m', halo) = {:?} with scratch stride {}, \
+                "{} workspace built for (n, p, m', halo) = {:?} with scratch stride {}, \
                  transform needs {:?} with stride {}",
-                self.shape, self.stride, want, stride
-            )));
-        }
-        Ok(())
-    }
-}
-
-/// Preallocated buffers + worker pool for the **real-input** (r2c)
-/// transform [`SoiFft::transform_real_into`].
-///
-/// Identical arena discipline to [`SoiWorkspace`], with the real-path
-/// shapes: the extended input is a stream of `N + halo` *reals* (half
-/// the bytes of the complex arena), the convolution output still spans
-/// the full `N'` complex values, and the segment buffer holds only the
-/// non-redundant `P/2` segments the Hermitian fold keeps.
-#[derive(Debug)]
-pub struct SoiRealWorkspace {
-    pub(crate) pool: Arc<ThreadPool>,
-    /// Extended real input: `N` samples followed by the circular halo.
-    pub(crate) xext: AlignedBuf<f64>,
-    /// Convolution output / `F_P` batch buffer (`N'` complex).
-    pub(crate) v: AlignedBuf<Complex64>,
-    /// Partially transposed segment buffer: `P/2` segments of `M'`.
-    pub(crate) seg: AlignedBuf<Complex64>,
-    /// Per-worker FFT scratch arena: `threads` stripes of `stride`.
-    pub(crate) scratch: AlignedBuf<Complex64>,
-    /// Stripe width of `scratch` (max engine scratch length).
-    pub(crate) stride: usize,
-    /// Configuration fingerprint: `(n, p, m_prime, halo_len)`.
-    pub(crate) shape: (usize, usize, usize, usize),
-    /// Phase-span recorder (disabled by default).
-    pub(crate) trace: Trace,
-}
-
-impl SoiRealWorkspace {
-    /// Build a real-input workspace for `soi` with a fresh pool of
-    /// `threads` workers (`1` = fully serial, spawns no threads).
-    pub fn new(soi: &SoiFft, threads: usize) -> Self {
-        Self::with_pool(soi, Arc::new(ThreadPool::new(threads)))
-    }
-
-    /// Build a real-input workspace for `soi` on an existing pool.
-    pub fn with_pool(soi: &SoiFft, pool: Arc<ThreadPool>) -> Self {
-        let cfg = soi.config();
-        let stride = soi
-            .batch_p()
-            .scratch_len()
-            .max(soi.plan_m().scratch_len())
-            .next_multiple_of(4);
-        Self {
-            xext: AlignedBuf::zeroed(cfg.n + cfg.halo_len()),
-            v: AlignedBuf::zeroed(cfg.n_prime),
-            seg: AlignedBuf::zeroed(cfg.p / 2 * cfg.m_prime),
-            scratch: AlignedBuf::zeroed(pool.threads() * stride),
-            stride,
-            shape: (cfg.n, cfg.p, cfg.m_prime, cfg.halo_len()),
-            trace: Trace::disabled(),
-            pool,
-        }
-    }
-
-    /// Attach a trace handle: subsequent [`SoiFft::transform_real_into`]
-    /// calls emit one span per pipeline stage ("halo", "conv", "fft_p",
-    /// "pack", "fft_m"). Pass [`Trace::disabled`] to detach.
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
-    }
-
-    /// The currently attached trace handle.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// The worker pool this workspace executes on.
-    pub fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
-
-    /// Shared handle to the pool (for building sibling workspaces).
-    pub fn pool_arc(&self) -> Arc<ThreadPool> {
-        Arc::clone(&self.pool)
-    }
-
-    /// Worker count, caller included.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Verify this workspace was built for `soi`'s configuration.
-    pub(crate) fn check(&self, soi: &SoiFft) -> Result<(), SoiError> {
-        let cfg = soi.config();
-        let want = (cfg.n, cfg.p, cfg.m_prime, cfg.halo_len());
-        let stride = soi
-            .batch_p()
-            .scratch_len()
-            .max(soi.plan_m().scratch_len());
-        if self.shape != want || self.stride < stride {
-            return Err(SoiError::WorkspaceMismatch(format!(
-                "real workspace built for (n, p, m', halo) = {:?} with scratch stride {}, \
-                 transform needs {:?} with stride {}",
-                self.shape, self.stride, want, stride
+                if S::REAL { "real" } else { "complex" },
+                self.shape,
+                self.stride,
+                want,
+                stride
             )));
         }
         Ok(())
@@ -240,6 +157,13 @@ mod tests {
         assert!(matches!(
             b.transform_into(&x, &mut y, &mut ws),
             Err(SoiError::WorkspaceMismatch(_))
+        ));
+        let mut ws = SoiRealWorkspace::new(&a, 2);
+        let x = vec![0.0f64; 1 << 13];
+        let mut y = vec![Complex64::ZERO; (1 << 12) + 1];
+        assert!(matches!(
+            b.transform_real_into(&x, &mut y, &mut ws),
+            Err(SoiError::WorkspaceMismatch(msg)) if msg.starts_with("real workspace")
         ));
     }
 

@@ -8,7 +8,7 @@
 
 use std::cell::RefCell;
 
-use soi_core::{SoiFft, SoiParams, SoiWorkspace};
+use soi_core::{SoiFft, SoiParams, SoiWorkspace, Zoom};
 use soi_num::Complex64;
 use soi_testkit::prop::{check, PropConfig};
 use soi_testkit::rng::TestRng;
@@ -59,16 +59,23 @@ fn segment_and_band_pooled_match_serial_bitwise() {
     let soi = SoiFft::new(&params).unwrap();
     let n = 1 << 12;
     let x = signal(n, 42);
+    let xr: Vec<f64> = x.iter().map(|v| v.re).collect();
     let pool = soi_core::ThreadPool::new(4);
     for s in 0..4 {
         let serial = soi.transform_segment(&x, s).unwrap();
-        let pooled = soi.transform_segment_pooled(&x, s, &pool).unwrap();
+        let pooled = soi.transform_zoom(&x, Zoom::Segment(s), &pool).unwrap();
         assert_eq!(bits(&serial), bits(&pooled), "segment {s}");
+        let serial = soi.transform_real_segment(&xr, s).unwrap();
+        let pooled = soi.transform_zoom(&xr, Zoom::Segment(s), &pool).unwrap();
+        assert_eq!(bits(&serial), bits(&pooled), "real segment {s}");
     }
     for k0 in [0usize, 777, n - 100] {
         let serial = soi.transform_band(&x, k0).unwrap();
-        let pooled = soi.transform_band_pooled(&x, k0, &pool).unwrap();
+        let pooled = soi.transform_zoom(&x, Zoom::Band(k0), &pool).unwrap();
         assert_eq!(bits(&serial), bits(&pooled), "band k0={k0}");
+        let serial = soi.transform_real_band(&xr, k0).unwrap();
+        let pooled = soi.transform_zoom(&xr, Zoom::Band(k0), &pool).unwrap();
+        assert_eq!(bits(&serial), bits(&pooled), "real band k0={k0}");
     }
 }
 

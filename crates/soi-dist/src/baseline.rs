@@ -82,7 +82,7 @@ impl BaselineFft {
 
     /// Execute on one rank; `x_local` is this rank's `M` points, returns
     /// its `M` output points (natural order) and the phase breakdown.
-    /// Generic over the transport, like [`crate::soi::DistSoiFft::run`].
+    /// Generic over the transport, like [`crate::soi::DistSoiFft::execute`].
     pub fn run<C: Communicator>(
         &self,
         comm: &mut C,
@@ -230,6 +230,7 @@ mod tests {
     use super::*;
     use soi_num::complex::rel_l2_error;
     use soi_simnet::{Cluster, Fabric};
+    use soi_pool::ThreadPool;
 
     fn signal(n: usize) -> Vec<Complex64> {
         (0..n)
@@ -308,7 +309,10 @@ mod tests {
         let (xr, distr) = (&x, &dist);
         let soi_reports = Cluster::ideal(p).run(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-            distr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+            distr
+                .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+                .expect("soi run")
+                .0
         });
         let soi_bytes: u64 = soi_reports.iter().map(|(_, r)| r.stats.bytes_sent).sum();
 

@@ -19,7 +19,7 @@
 //!   SIGKILL: peers see EOF).
 //! * [`Checkpoint`] + [`CheckpointStore`] — the `"SOIC"`-tagged frame a
 //!   rank persists at every boundary of
-//!   [`DistSoiFft::run_with_hooks`], to a shared [`MemStore`] (simnet,
+//!   [`DistSoiFft::execute`], to a shared [`MemStore`] (simnet,
 //!   loopback tests) or a [`DirStore`] directory (`soi launch` workers).
 //! * [`run_checkpointed`] / [`run_wire_recoverable`] — the drivers. The
 //!   first wires checkpointing and fault injection into one attempt; the
@@ -37,7 +37,7 @@
 
 use crate::comm::Communicator;
 use crate::rates::ChargePolicy;
-use crate::soi::DistSoiFft;
+use crate::soi::{DistSoiFft, ExchangeSchedule};
 use crate::times::PhaseTimes;
 use soi_core::SoiError;
 use soi_num::Complex64;
@@ -69,7 +69,7 @@ pub enum FaultAction {
 }
 
 /// A deterministic fault: kill `victim` when it reaches phase boundary
-/// `boundary` (see [`DistSoiFft::run_with_hooks`] for the numbering).
+/// `boundary` (see [`DistSoiFft::execute`] for the numbering).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// Rank to kill.
@@ -278,7 +278,7 @@ where
     let cfg = *dist.config();
     let rank = comm.rank();
     let ranks = comm.size();
-    dist.run_with_hooks(comm, x_local, policy, pool, |comm, k| {
+    dist.execute(comm, x_local, policy, pool, ExchangeSchedule::from_env(), |comm, k| {
         let ckpt = Checkpoint {
             epoch,
             rank: rank as u32,

@@ -17,6 +17,11 @@
 //! (`SOI_NO_OVERLAP=1`) keeps the classic exchange → unpack → FFT →
 //! demodulate sequence. Both produce bitwise-identical output.
 //!
+//! Real input (r2c) runs the same phases through the same code, generic
+//! over [`soi_core::Domain`]: an `f64` halo, the real convolution kernel,
+//! a pack and all-to-all carrying only the non-redundant segments
+//! `0..P/2`, and one scalar allreduce for the exact Nyquist bin.
+//!
 //! The segment count `P` may be a multiple of the rank count `R` (§6a:
 //! "In general, P can be a multiple of number of processor nodes,
 //! increasing the granularity of parallelism" — the paper's own runs used
@@ -27,10 +32,11 @@
 use crate::comm::Communicator;
 use crate::rates::{ChargePolicy, WorkKind};
 use crate::times::PhaseTimes;
-use soi_core::{SoiError, SoiFft, SoiParams};
+use soi_core::{Domain, SoiError, SoiFft, SoiParams};
 use soi_fft::flops::{conv_flops, fft_flops};
 use soi_num::Complex64;
 use soi_pool::{part_range, SlicePtr, ThreadPool};
+use soi_wire::Pod;
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -97,103 +103,113 @@ impl DistSoiFft {
         &self.soi
     }
 
-    /// Segments each rank of an `r`-rank cluster would own (`P/R`).
+    /// Segments each rank of an `r`-rank cluster would own (`P/R`) in
+    /// the complex transform.
     ///
     /// # Errors
     /// [`SoiError::BadRankCount`] if `r` does not divide the configured
     /// segment count; [`SoiError::BadAlignment`] if the per-rank row count
-    /// would not align with the μ-row coefficient chunks. Call sites that
-    /// want the old abort-on-misconfiguration behaviour use `.expect()`.
+    /// would not align with the μ-row coefficient chunks.
     pub fn segments_per_rank(&self, ranks: usize) -> Result<usize, SoiError> {
+        self.owned_segments::<Complex64>(ranks)
+    }
+
+    /// The one geometry check: the segments of the kept spectrum (`P`,
+    /// or `P/2` for real input) each of `ranks` ranks owns.
+    ///
+    /// # Errors
+    /// [`SoiError::BadSize`] for real input with an odd segment count
+    /// (the Hermitian fold pairs lane `s` with lane `P−s`);
+    /// [`SoiError::BadRankCount`] if `ranks` does not divide the kept
+    /// segment count; [`SoiError::BadAlignment`] if the per-rank row count
+    /// would not align with the μ-row coefficient chunks.
+    fn owned_segments<S: Domain>(&self, ranks: usize) -> Result<usize, SoiError> {
         let cfg = self.soi.config();
-        if ranks < 1 || cfg.p % ranks != 0 {
+        let kept = S::kept_segments(cfg.p)?;
+        if ranks < 1 || kept % ranks != 0 {
+            let what = if S::REAL { "the half-segment count P/2" } else { "segment count P" };
             return Err(SoiError::BadRankCount(format!(
-                "rank count {ranks} must divide segment count P = {}",
-                cfg.p
+                "rank count {ranks} must divide {what} = {kept}"
             )));
         }
         let rows = cfg.m_prime / ranks;
-        if rows % cfg.mu != 0 {
+        if !rows.is_multiple_of(cfg.mu) {
             return Err(SoiError::BadAlignment(format!(
                 "rows per rank {rows} must align with mu = {} chunks",
                 cfg.mu
             )));
         }
-        Ok(cfg.p / ranks)
+        Ok(kept / ranks)
     }
 
-    /// Execute on one rank of an `R`-rank cluster, `R` dividing `P`.
-    ///
-    /// `x_local` is this rank's `c·M` input points (`c = P/R` segments);
-    /// returns this rank's `c·M` output points plus the phase breakdown.
-    /// Serial per-rank compute; see [`Self::run_with`] for the threaded
-    /// (MPI+OpenMP-style) hybrid. Generic over the transport: the same
-    /// code runs on the simulated cluster and over real sockets.
-    pub fn run<C: Communicator>(
+    /// [`Self::execute`] with the process-wide exchange schedule
+    /// ([`ExchangeSchedule::from_env`]) and no boundary hook — the
+    /// paper's hybrid model (ranks for the all-to-all, threads from
+    /// `pool` for the node-local convolution, batch F_P, pack, and
+    /// F_{M'}). Pass [`ThreadPool::serial`] for serial per-rank compute.
+    pub fn run_with<C, S>(
         &self,
         comm: &mut C,
-        x_local: &[Complex64],
-        policy: ChargePolicy,
-    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
-        self.run_with(comm, x_local, policy, &ThreadPool::serial())
-    }
-
-    /// [`Self::run`] with per-rank compute fanned across `pool` — the
-    /// paper's hybrid model (ranks for the all-to-all, threads for the
-    /// node-local convolution, batch F_P, pack, and F_{M'}). Chunk
-    /// boundaries are deterministic, so the output is bitwise identical
-    /// to the serial `run` for any worker count.
-    pub fn run_with<C: Communicator>(
-        &self,
-        comm: &mut C,
-        x_local: &[Complex64],
+        x_local: &[S],
         policy: ChargePolicy,
         pool: &ThreadPool,
-    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
-        self.run_with_hooks(comm, x_local, policy, pool, |_, _| Ok(()))
-    }
-
-    /// [`Self::run_with`] with a callback at every phase boundary — the
-    /// seam the checkpoint/recovery layer ([`crate::recover`]) hangs off.
-    ///
-    /// `hook(comm, k)` fires at boundary `k ∈ 0..=7`: `0` before the halo
-    /// exchange, then after each phase in pipeline order — `1` halo,
-    /// `2` convolution, `3` F_P batch, `4` pack, `5` all-to-all (+unpack),
-    /// `6` F_{M'}, `7` demodulation (i.e. run complete). An `Err` from the
-    /// hook aborts the run at that boundary and propagates; a fault
-    /// injector uses this to crash a rank at an exact point, a checkpoint
-    /// writer to persist progress. The hook runs *outside* phase trace
-    /// spans and is not charged to any phase, so a no-op hook leaves the
-    /// run observationally identical to [`Self::run_with`].
-    ///
-    /// Under the default [`ExchangeSchedule::Overlapped`] schedule the
-    /// exchange, F_{M'}, and demodulation fuse into one streamed region;
-    /// boundaries `5` and `6` then fire back-to-back after it. Both
-    /// checkpoint consumers store phase *inputs*, so replay from either
-    /// boundary is schedule-independent.
-    pub fn run_with_hooks<C, F>(
-        &self,
-        comm: &mut C,
-        x_local: &[Complex64],
-        policy: ChargePolicy,
-        pool: &ThreadPool,
-        hook: F,
     ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError>
     where
         C: Communicator,
-        F: FnMut(&mut C, usize) -> Result<(), SoiError>,
+        S: Domain + Pod,
     {
-        self.run_with_hooks_scheduled(comm, x_local, policy, pool, ExchangeSchedule::from_env(), hook)
+        self.execute(comm, x_local, policy, pool, ExchangeSchedule::from_env(), |_, _| Ok(()))
     }
 
-    /// [`Self::run_with_hooks`] with the exchange schedule pinned
-    /// explicitly instead of read from `SOI_NO_OVERLAP` — the seam the
-    /// equivalence tests use to compare both schedules inside one
-    /// process. The two schedules produce bitwise-identical output.
-    pub fn run_with_hooks_scheduled<C, F>(
+    /// Execute on one rank of an `R`-rank cluster. Generic over the
+    /// transport: the same code runs on the simulated cluster and over
+    /// real sockets.
+    ///
+    /// `x_local` is this rank's `N/R` input samples, complex or real.
+    /// Complex input: `R` divides `P`, each rank owns `c = P/R` segments
+    /// and returns its `c·M` output points. Real input (r2c) runs the
+    /// same phases with the redundancy of a real signal removed: the
+    /// halo moves raw `f64`s (half the bytes), the convolution runs the
+    /// halved real kernel, and the all-to-all carries only the first
+    /// `P/2` segments, since conjugate symmetry (`X[N−k] = conj(X[k])`)
+    /// makes segments `P/2..P` derivable from the kept half — half the
+    /// exchange volume. `R` then divides `P/2`; each rank returns the
+    /// `(P/2)/R · M` packed half-spectrum bins of its owned segments and
+    /// the LAST rank appends the Nyquist bin `y[N/2]`, so concatenating
+    /// rank outputs yields the `N/2 + 1`-point packed half-spectrum of
+    /// [`SoiFft::transform`].
+    ///
+    /// Chunk boundaries are deterministic, so the output is bitwise
+    /// identical for any worker count in `pool`, and under both
+    /// `schedule`s.
+    ///
+    /// `hook(comm, k)` fires at boundary `k ∈ 0..=7` — the seam the
+    /// checkpoint/recovery layer ([`crate::recover`]) hangs off: `0`
+    /// before the halo exchange, then after each phase in pipeline order
+    /// — `1` halo, `2` convolution, `3` F_P batch, `4` pack, `5`
+    /// all-to-all (+unpack), `6` F_{M'}, `7` demodulation (i.e. run
+    /// complete). An `Err` from the hook aborts the run at that boundary
+    /// and propagates; a fault injector uses this to crash a rank at an
+    /// exact point, a checkpoint writer to persist progress. The hook
+    /// runs *outside* phase trace spans and is not charged to any phase,
+    /// so a no-op hook leaves the run observationally identical to
+    /// [`Self::run_with`].
+    ///
+    /// Under [`ExchangeSchedule::Overlapped`] the exchange, F_{M'}, and
+    /// demodulation fuse into one streamed region; boundaries `5`–`7`
+    /// then fire back-to-back after it. Both checkpoint consumers store
+    /// phase *inputs*, so replay from any boundary is
+    /// schedule-independent.
+    ///
+    /// # Errors
+    /// The geometry errors of [`Self::segments_per_rank`] (and, for real
+    /// input, [`SoiError::BadSize`] on an odd `P`);
+    /// [`SoiError::BadInput`] if `x_local` is not `N/R` samples;
+    /// [`SoiError::Comm`] from the transport; any error of `hook`.
+    pub fn execute<C, S, F>(
         &self,
         comm: &mut C,
-        x_local: &[Complex64],
+        x_local: &[S],
         policy: ChargePolicy,
         pool: &ThreadPool,
         schedule: ExchangeSchedule,
@@ -201,12 +217,13 @@ impl DistSoiFft {
     ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError>
     where
         C: Communicator,
+        S: Domain + Pod,
         F: FnMut(&mut C, usize) -> Result<(), SoiError>,
     {
         let cfg = *self.soi.config();
         let ranks = comm.size();
-        let c = self.segments_per_rank(ranks)?;
-        let local_pts = c * cfg.m;
+        let c = self.owned_segments::<S>(ranks)?;
+        let local_pts = cfg.n / ranks;
         if x_local.len() != local_pts {
             return Err(SoiError::BadInput {
                 expected: local_pts,
@@ -215,7 +232,9 @@ impl DistSoiFft {
         }
         let rank = comm.rank();
         let p = cfg.p;
+        let kept = c * ranks; // segments computed cluster-wide
         let rows = cfg.m_prime / ranks; // P-groups computed on this rank
+        let out_pts = c * cfg.m; // owned output bins
         let mut times = PhaseTimes::default();
         // Cloned handle so phase spans interleave with `&mut comm` calls;
         // clones share one buffer (disabled outside traced runs).
@@ -245,16 +264,10 @@ impl DistSoiFft {
         trace.span_begin("conv", comm.clock_now());
         let t0 = Instant::now();
         let mut v = vec![Complex64::ZERO; rows * p];
-        soi_core::conv::convolve_pooled(
-            self.soi.shape(),
-            self.soi.coefficients(),
-            &xext,
-            &mut v,
-            pool,
-        );
+        S::convolve_pooled(self.soi.shape(), self.soi.coefficients(), &xext, &mut v, pool);
         let dt = policy.charge(
             WorkKind::Conv,
-            conv_flops(rows * p, cfg.b),
+            conv_flops(rows * p, cfg.b) * S::CONV_WORK,
             t0.elapsed().as_secs_f64(),
         );
         comm.charge_compute(dt);
@@ -262,7 +275,9 @@ impl DistSoiFft {
         trace.span_end("conv", comm.clock_now());
         hook(comm, 2)?;
 
-        // 3. I ⊗ F_P over the local groups.
+        // 3. I ⊗ F_P over the local groups — the full complex batch for
+        // real input too: every lane participates as F_P input; the
+        // redundancy only becomes droppable after the per-group transform.
         trace.span_begin("fft_p", comm.clock_now());
         let t0 = Instant::now();
         let batch = self.soi.batch_p();
@@ -284,19 +299,37 @@ impl DistSoiFft {
         // within a destination segment-major — rank d gets, for each of
         // its segments s, my rows' lane-s values in row order.
         let t0 = Instant::now();
-        let mut send = vec![Complex64::ZERO; rows * p];
-        // v is (rows × p) row-major; transposing gives lane-major (p × rows),
-        // which concatenates lanes s = 0..P in order — and destination d's
-        // block is exactly lanes [d·c, (d+1)·c), already segment-major.
-        soi_fft::permute::transpose_pooled(&v, &mut send, rows, p, pool);
-        let pack_bytes = 2.0 * (rows * p * std::mem::size_of::<Complex64>()) as f64;
+        let mut send = vec![Complex64::ZERO; rows * kept];
+        // v is (rows × p) row-major; transposing its first `kept` lanes
+        // gives lane-major (kept × rows), which concatenates lanes
+        // s = 0..kept in order — and destination d's block is exactly
+        // lanes [d·c, (d+1)·c), already segment-major. For real input
+        // lanes P/2..P are the mirror conjugates of the kept half, so
+        // they never enter the send buffer.
+        soi_fft::permute::transpose_partial_pooled(&v, &mut send, rows, p, kept, pool);
+        let pack_bytes = ((rows * (p + kept)) * std::mem::size_of::<Complex64>()) as f64;
         let dt = policy.charge(WorkKind::Mem, pack_bytes, t0.elapsed().as_secs_f64());
         comm.charge_compute(dt);
         times.pack = dt;
         trace.span_end("pack", comm.clock_now());
         hook(comm, 4)?;
 
-        if schedule == ExchangeSchedule::Overlapped {
+        // Real input: y[N/2] = Σ_j (−1)^j x_j is the one output the kept
+        // segments cannot produce. Every rank folds its own slice —
+        // local origins sit at even global offsets (N/R = 2·c·M), so the
+        // alternating signs line up — and the rank-order allreduce
+        // combines the partials bitwise identically on every fabric.
+        let nyquist = match S::nyquist(x_local) {
+            Some(partial) => {
+                let c0 = comm.comm_seconds();
+                let sum = comm.allreduce_sum(partial)?;
+                times.exchange += comm.comm_seconds() - c0;
+                Some(Complex64::new(sum, 0.0))
+            }
+            None => None,
+        };
+
+        let mut y = if schedule == ExchangeSchedule::Overlapped {
             // 5–7 fused. The streamed exchange delivers segment-major, so
             // each landing sub-block already sits in its x̃ slot (delivery
             // IS the unpack), and the moment segment `si` completes its
@@ -307,7 +340,7 @@ impl DistSoiFft {
             trace.span_begin("exchange", comm.clock_now());
             let c0 = comm.comm_seconds();
             let mut xt = vec![Complex64::ZERO; c * cfg.m_prime];
-            let mut y = vec![Complex64::ZERO; local_pts];
+            let mut y = vec![Complex64::ZERO; out_pts];
             let mut scratch = vec![Complex64::ZERO; self.soi.plan_m().scratch_len()];
             let demod = &self.soi.coefficients().demod;
             let (mut fft_wall, mut demod_wall) = (0.0f64, 0.0f64);
@@ -327,7 +360,7 @@ impl DistSoiFft {
                 demod_wall += t0.elapsed().as_secs_f64();
                 trace_cb.span_end("demod", clock);
             })?;
-            times.exchange = comm.comm_seconds() - c0;
+            times.exchange += comm.comm_seconds() - c0;
             trace.span_end("exchange", comm.clock_now());
 
             // Compute was measured inside the callbacks (the transports
@@ -338,7 +371,7 @@ impl DistSoiFft {
             times.fft_large = dt;
             let dt = policy.charge(
                 WorkKind::Mem,
-                2.0 * (local_pts * std::mem::size_of::<Complex64>()) as f64,
+                2.0 * (out_pts * std::mem::size_of::<Complex64>()) as f64,
                 demod_wall,
             );
             comm.charge_compute(dt);
@@ -350,403 +383,98 @@ impl DistSoiFft {
             hook(comm, 5)?;
             hook(comm, 6)?;
             hook(comm, 7)?;
-            return Ok((y, times));
-        }
-
-        // 5. THE all-to-all. From src I receive its rows for each of my c
-        // segments: recv[src·c·rows + si·rows + jl] = x̃^{(my seg si)}[src·rows + jl].
-        trace.span_begin("exchange", comm.clock_now());
-        let c0 = comm.comm_seconds();
-        let mut recv = vec![Complex64::ZERO; c * cfg.m_prime];
-        comm.all_to_all(&send, &mut recv)?;
-        times.exchange = comm.comm_seconds() - c0;
-        trace.span_end("exchange", comm.clock_now());
-
-        // 5b. Unpack into per-segment x̃ vectors (a second local
-        // permutation; a no-op copy when c = 1 and R = P).
-        trace.span_begin("pack", comm.clock_now());
-        let t0 = Instant::now();
-        let mut xt = vec![Complex64::ZERO; c * cfg.m_prime];
-        for src in 0..ranks {
-            for si in 0..c {
-                let from = &recv[(src * c + si) * rows..(src * c + si + 1) * rows];
-                xt[si * cfg.m_prime + src * rows..si * cfg.m_prime + (src + 1) * rows]
-                    .copy_from_slice(from);
-            }
-        }
-        let dt = policy.charge(
-            WorkKind::Mem,
-            2.0 * (xt.len() * std::mem::size_of::<Complex64>()) as f64,
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.pack += dt;
-        trace.span_end("pack", comm.clock_now());
-        hook(comm, 5)?;
-
-        // 6. F_{M'} per owned segment, one scratch stripe per worker.
-        trace.span_begin("fft_m", comm.clock_now());
-        let t0 = Instant::now();
-        let scr_len = self.soi.plan_m().scratch_len();
-        let parts = pool.threads().min(c).max(1);
-        let mut scratch = vec![Complex64::ZERO; parts * scr_len];
-        if parts == 1 {
-            for seg in xt.chunks_exact_mut(cfg.m_prime) {
-                self.soi.plan_m().execute_with_scratch(seg, &mut scratch);
-            }
+            y
         } else {
-            let xt_ptr = SlicePtr::new(&mut xt);
-            let scr_ptr = SlicePtr::new(&mut scratch);
-            pool.run(parts, |t| {
-                let (s0, sl) = part_range(c, parts, t);
-                // SAFETY: segment ranges are disjoint across tasks and each
-                // task owns scratch stripe `t`; borrows end at the barrier.
-                let scr = unsafe { scr_ptr.slice(t * scr_len, scr_len) };
-                for si in s0..s0 + sl {
-                    let seg = unsafe { xt_ptr.slice(si * cfg.m_prime, cfg.m_prime) };
-                    self.soi.plan_m().execute_with_scratch(seg, scr);
-                }
-            });
-        }
-        let dt = policy.charge(
-            WorkKind::Fft,
-            c as f64 * fft_flops(cfg.m_prime),
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.fft_large = dt;
-        trace.span_end("fft_m", comm.clock_now());
-        hook(comm, 6)?;
-
-        // 7. Project + demodulate each segment.
-        trace.span_begin("demod", comm.clock_now());
-        let t0 = Instant::now();
-        let demod = &self.soi.coefficients().demod;
-        let mut y = Vec::with_capacity(local_pts);
-        for si in 0..c {
-            let seg = &xt[si * cfg.m_prime..(si + 1) * cfg.m_prime];
-            y.extend((0..cfg.m).map(|k| seg[k] * demod[k]));
-        }
-        let dt = policy.charge(
-            WorkKind::Mem,
-            2.0 * (local_pts * std::mem::size_of::<Complex64>()) as f64,
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.scale = dt;
-        trace.span_end("demod", comm.clock_now());
-        hook(comm, 7)?;
-
-        Ok((y, times))
-    }
-
-    /// Half-segments each rank of an `r`-rank cluster would own in the
-    /// real-input transform (`(P/2)/R` — conjugate symmetry makes only
-    /// the first `P/2` segments worth exchanging).
-    ///
-    /// # Errors
-    /// [`SoiError::BadSize`] if the segment count is odd (the Hermitian
-    /// fold pairs lane `s` with lane `P−s`); [`SoiError::BadRankCount`]
-    /// if `r` does not divide `P/2`; [`SoiError::BadAlignment`] if the
-    /// per-rank row count would not align with the μ-row chunks.
-    pub fn half_segments_per_rank(&self, ranks: usize) -> Result<usize, SoiError> {
-        let cfg = self.soi.config();
-        if cfg.p % 2 != 0 {
-            return Err(SoiError::BadSize(format!(
-                "real-input transform needs an even segment count, got P = {}",
-                cfg.p
-            )));
-        }
-        let ph = cfg.p / 2;
-        if ranks < 1 || ph % ranks != 0 {
-            return Err(SoiError::BadRankCount(format!(
-                "rank count {ranks} must divide the half-segment count P/2 = {ph}"
-            )));
-        }
-        let rows = cfg.m_prime / ranks;
-        if rows % cfg.mu != 0 {
-            return Err(SoiError::BadAlignment(format!(
-                "rows per rank {rows} must align with mu = {} chunks",
-                cfg.mu
-            )));
-        }
-        Ok(ph / ranks)
-    }
-
-    /// Real-input (r2c) transform on one rank of an `R`-rank cluster.
-    ///
-    /// `x_local` is this rank's `N/R` **real** samples. The pipeline is
-    /// the complex [`Self::run`] with the redundancy of a real signal
-    /// removed at every layer: the halo moves raw `f64`s (half the
-    /// bytes), the convolution runs the halved real kernel, and — the
-    /// headline — the all-to-all carries only the first `P/2` segments,
-    /// since conjugate symmetry (`X[N−k] = conj(X[k])`) makes segments
-    /// `P/2..P` derivable from the kept half. The exchange volume is
-    /// therefore half the complex transform's.
-    ///
-    /// Each rank returns the `(P/2)/R · M` packed half-spectrum bins of
-    /// its owned half-segments; the LAST rank additionally appends the
-    /// Nyquist bin `y[N/2]`, so concatenating rank outputs yields the
-    /// same `N/2 + 1`-point packed half-spectrum as
-    /// [`soi_core::SoiFft::transform_real`].
-    pub fn run_real<C: Communicator>(
-        &self,
-        comm: &mut C,
-        x_local: &[f64],
-        policy: ChargePolicy,
-    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
-        self.run_real_with(comm, x_local, policy, &ThreadPool::serial())
-    }
-
-    /// [`Self::run_real`] with per-rank compute fanned across `pool`;
-    /// bitwise identical to the serial run for any worker count.
-    pub fn run_real_with<C: Communicator>(
-        &self,
-        comm: &mut C,
-        x_local: &[f64],
-        policy: ChargePolicy,
-        pool: &ThreadPool,
-    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
-        self.run_real_scheduled(comm, x_local, policy, pool, ExchangeSchedule::from_env())
-    }
-
-    /// [`Self::run_real_with`] with the exchange schedule pinned
-    /// explicitly — the seam the equivalence tests use. Both schedules
-    /// produce bitwise-identical output.
-    pub fn run_real_scheduled<C: Communicator>(
-        &self,
-        comm: &mut C,
-        x_local: &[f64],
-        policy: ChargePolicy,
-        pool: &ThreadPool,
-        schedule: ExchangeSchedule,
-    ) -> Result<(Vec<Complex64>, PhaseTimes), SoiError> {
-        let cfg = *self.soi.config();
-        let ranks = comm.size();
-        let ch = self.half_segments_per_rank(ranks)?;
-        let local_pts = cfg.n / ranks; // reals on this rank (= 2·ch·M)
-        if x_local.len() != local_pts {
-            return Err(SoiError::BadInput {
-                expected: local_pts,
-                got: x_local.len(),
-            });
-        }
-        let rank = comm.rank();
-        let p = cfg.p;
-        let ph = p / 2;
-        let rows = cfg.m_prime / ranks; // P-groups computed on this rank
-        let out_pts = ch * cfg.m; // owned packed half-spectrum bins
-        let mut times = PhaseTimes::default();
-        let trace = comm.trace_handle();
-
-        // 1. Halo exchange — same ring pattern as the complex run, on raw
-        // reals: half the bytes per halo point.
-        trace.span_begin("halo", comm.clock_now());
-        let c0 = comm.comm_seconds();
-        let left = (rank + ranks - 1) % ranks;
-        let right = (rank + 1) % ranks;
-        let halo = comm.sendrecv(left, &x_local[..cfg.halo_len()], right)?;
-        times.halo = comm.comm_seconds() - c0;
-        trace.span_end("halo", comm.clock_now());
-
-        let mut xext = Vec::with_capacity(local_pts + cfg.halo_len());
-        xext.extend_from_slice(x_local);
-        xext.extend_from_slice(&halo);
-
-        // 2. Real convolution over my row range — two real FMAs per tap,
-        // half the arithmetic of the complex kernel.
-        trace.span_begin("conv", comm.clock_now());
-        let t0 = Instant::now();
-        let mut v = vec![Complex64::ZERO; rows * p];
-        soi_core::conv::convolve_real_pooled(
-            self.soi.shape(),
-            self.soi.coefficients(),
-            &xext,
-            &mut v,
-            pool,
-        );
-        let dt = policy.charge(
-            WorkKind::Conv,
-            conv_flops(rows * p, cfg.b) / 2.0, // real input halves the FMAs
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.conv = dt;
-        trace.span_end("conv", comm.clock_now());
-
-        // 3. I ⊗ F_P over the local groups — still the full complex
-        // batch: every lane participates as F_P input; the redundancy
-        // only becomes droppable after the per-group transform.
-        trace.span_begin("fft_p", comm.clock_now());
-        let t0 = Instant::now();
-        let batch = self.soi.batch_p();
-        let mut batch_scratch =
-            vec![Complex64::ZERO; pool.threads().min(rows).max(1) * batch.scratch_len()];
-        batch.execute_pooled(&mut v, pool, &mut batch_scratch);
-        let dt = policy.charge(
-            WorkKind::Fft,
-            rows as f64 * fft_flops(p),
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.fft_small = dt;
-        trace.span_end("fft_p", comm.clock_now());
-
-        trace.span_begin("pack", comm.clock_now());
-        // 4. Pack: the partial transpose keeps lanes 0..P/2 only —
-        // conjugate symmetry of the real input makes lanes P/2..P the
-        // mirror conjugates of the kept half, so they never enter the
-        // send buffer. Destination d's block is lanes [d·ch, (d+1)·ch),
-        // already segment-major, exactly as in the complex pack.
-        let t0 = Instant::now();
-        let mut send = vec![Complex64::ZERO; rows * ph];
-        soi_fft::permute::transpose_partial_pooled(&v, &mut send, rows, p, ph, pool);
-        let pack_bytes = ((rows * (p + ph)) * std::mem::size_of::<Complex64>()) as f64;
-        let dt = policy.charge(WorkKind::Mem, pack_bytes, t0.elapsed().as_secs_f64());
-        comm.charge_compute(dt);
-        times.pack = dt;
-        trace.span_end("pack", comm.clock_now());
-
-        // Nyquist bin: y[N/2] = Σ_j (−1)^j x_j is the one output the kept
-        // half-segments cannot produce. Every rank folds its own slice —
-        // local origins sit at even global offsets (N/R = 2·ch·M), so the
-        // alternating signs line up — and the rank-order allreduce
-        // combines the partials bitwise identically on every fabric.
-        // Placed before the schedule split so both schedules share it.
-        let c0 = comm.comm_seconds();
-        let nyq = comm.allreduce_sum(soi_core::pipeline::nyquist_fold(x_local))?;
-        times.exchange += comm.comm_seconds() - c0;
-
-        if schedule == ExchangeSchedule::Overlapped {
-            // 5–7 fused, exactly as the complex overlapped arm, over the
-            // ch owned half-segments.
+            // 5. THE all-to-all. From src I receive its rows for each of my
+            // c segments: recv[src·c·rows + si·rows + jl] = x̃^{(my seg si)}[src·rows + jl].
             trace.span_begin("exchange", comm.clock_now());
             let c0 = comm.comm_seconds();
-            let mut xt = vec![Complex64::ZERO; ch * cfg.m_prime];
-            let mut y = vec![Complex64::ZERO; out_pts];
-            let mut scratch = vec![Complex64::ZERO; self.soi.plan_m().scratch_len()];
-            let demod = &self.soi.coefficients().demod;
-            let (mut fft_wall, mut demod_wall) = (0.0f64, 0.0f64);
-            let trace_cb = &trace;
-            let y_out = &mut y;
-            comm.all_to_all_seg(&send, &mut xt, ch, &mut |si, seg, clock| {
-                trace_cb.span_begin("fft_m", clock);
-                let t0 = Instant::now();
-                self.soi.plan_m().execute_with_scratch(seg, &mut scratch);
-                fft_wall += t0.elapsed().as_secs_f64();
-                trace_cb.span_end("fft_m", clock);
-                trace_cb.span_begin("demod", clock);
-                let t0 = Instant::now();
-                for k in 0..cfg.m {
-                    y_out[si * cfg.m + k] = seg[k] * demod[k];
-                }
-                demod_wall += t0.elapsed().as_secs_f64();
-                trace_cb.span_end("demod", clock);
-            })?;
+            let mut recv = vec![Complex64::ZERO; c * cfg.m_prime];
+            comm.all_to_all(&send, &mut recv)?;
             times.exchange += comm.comm_seconds() - c0;
             trace.span_end("exchange", comm.clock_now());
 
-            let dt = policy.charge(WorkKind::Fft, ch as f64 * fft_flops(cfg.m_prime), fft_wall);
+            // 5b. Unpack into per-segment x̃ vectors (a second local
+            // permutation; a no-op copy when c = 1).
+            trace.span_begin("pack", comm.clock_now());
+            let t0 = Instant::now();
+            let mut xt = vec![Complex64::ZERO; c * cfg.m_prime];
+            for src in 0..ranks {
+                for si in 0..c {
+                    let from = &recv[(src * c + si) * rows..(src * c + si + 1) * rows];
+                    xt[si * cfg.m_prime + src * rows..si * cfg.m_prime + (src + 1) * rows]
+                        .copy_from_slice(from);
+                }
+            }
+            let dt = policy.charge(
+                WorkKind::Mem,
+                2.0 * (xt.len() * std::mem::size_of::<Complex64>()) as f64,
+                t0.elapsed().as_secs_f64(),
+            );
+            comm.charge_compute(dt);
+            times.pack += dt;
+            trace.span_end("pack", comm.clock_now());
+            hook(comm, 5)?;
+
+            // 6. F_{M'} per owned segment, one scratch stripe per worker.
+            trace.span_begin("fft_m", comm.clock_now());
+            let t0 = Instant::now();
+            let scr_len = self.soi.plan_m().scratch_len();
+            let parts = pool.threads().min(c).max(1);
+            let mut scratch = vec![Complex64::ZERO; parts * scr_len];
+            if parts == 1 {
+                for seg in xt.chunks_exact_mut(cfg.m_prime) {
+                    self.soi.plan_m().execute_with_scratch(seg, &mut scratch);
+                }
+            } else {
+                let xt_ptr = SlicePtr::new(&mut xt);
+                let scr_ptr = SlicePtr::new(&mut scratch);
+                pool.run(parts, |t| {
+                    let (s0, sl) = part_range(c, parts, t);
+                    // SAFETY: segment ranges are disjoint across tasks and each
+                    // task owns scratch stripe `t`; borrows end at the barrier.
+                    let scr = unsafe { scr_ptr.slice(t * scr_len, scr_len) };
+                    for si in s0..s0 + sl {
+                        let seg = unsafe { xt_ptr.slice(si * cfg.m_prime, cfg.m_prime) };
+                        self.soi.plan_m().execute_with_scratch(seg, scr);
+                    }
+                });
+            }
+            let dt = policy.charge(
+                WorkKind::Fft,
+                c as f64 * fft_flops(cfg.m_prime),
+                t0.elapsed().as_secs_f64(),
+            );
             comm.charge_compute(dt);
             times.fft_large = dt;
+            trace.span_end("fft_m", comm.clock_now());
+            hook(comm, 6)?;
+
+            // 7. Project + demodulate each segment.
+            trace.span_begin("demod", comm.clock_now());
+            let t0 = Instant::now();
+            let demod = &self.soi.coefficients().demod;
+            let mut y = Vec::with_capacity(out_pts + 1);
+            for si in 0..c {
+                let seg = &xt[si * cfg.m_prime..(si + 1) * cfg.m_prime];
+                y.extend((0..cfg.m).map(|k| seg[k] * demod[k]));
+            }
             let dt = policy.charge(
                 WorkKind::Mem,
                 2.0 * (out_pts * std::mem::size_of::<Complex64>()) as f64,
-                demod_wall,
+                t0.elapsed().as_secs_f64(),
             );
             comm.charge_compute(dt);
             times.scale = dt;
+            trace.span_end("demod", comm.clock_now());
+            hook(comm, 7)?;
+            y
+        };
 
-            if rank == ranks - 1 {
-                y.push(Complex64::new(nyq, 0.0));
-            }
-            return Ok((y, times));
+        // The last rank completes the packed half-spectrum.
+        if let (Some(nyq), true) = (nyquist, rank == ranks - 1) {
+            y.push(nyq);
         }
-
-        // 5. The halved all-to-all: from src I receive its rows for each
-        // of my ch half-segments.
-        trace.span_begin("exchange", comm.clock_now());
-        let c0 = comm.comm_seconds();
-        let mut recv = vec![Complex64::ZERO; ch * cfg.m_prime];
-        comm.all_to_all(&send, &mut recv)?;
-        times.exchange += comm.comm_seconds() - c0;
-        trace.span_end("exchange", comm.clock_now());
-
-        // 5b. Unpack into per-half-segment x̃ vectors.
-        trace.span_begin("pack", comm.clock_now());
-        let t0 = Instant::now();
-        let mut xt = vec![Complex64::ZERO; ch * cfg.m_prime];
-        for src in 0..ranks {
-            for si in 0..ch {
-                let from = &recv[(src * ch + si) * rows..(src * ch + si + 1) * rows];
-                xt[si * cfg.m_prime + src * rows..si * cfg.m_prime + (src + 1) * rows]
-                    .copy_from_slice(from);
-            }
-        }
-        let dt = policy.charge(
-            WorkKind::Mem,
-            2.0 * (xt.len() * std::mem::size_of::<Complex64>()) as f64,
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.pack += dt;
-        trace.span_end("pack", comm.clock_now());
-
-        // 6. F_{M'} per owned half-segment, one scratch stripe per worker.
-        trace.span_begin("fft_m", comm.clock_now());
-        let t0 = Instant::now();
-        let scr_len = self.soi.plan_m().scratch_len();
-        let parts = pool.threads().min(ch).max(1);
-        let mut scratch = vec![Complex64::ZERO; parts * scr_len];
-        if parts == 1 {
-            for seg in xt.chunks_exact_mut(cfg.m_prime) {
-                self.soi.plan_m().execute_with_scratch(seg, &mut scratch);
-            }
-        } else {
-            let xt_ptr = SlicePtr::new(&mut xt);
-            let scr_ptr = SlicePtr::new(&mut scratch);
-            pool.run(parts, |t| {
-                let (s0, sl) = part_range(ch, parts, t);
-                // SAFETY: segment ranges are disjoint across tasks and each
-                // task owns scratch stripe `t`; borrows end at the barrier.
-                let scr = unsafe { scr_ptr.slice(t * scr_len, scr_len) };
-                for si in s0..s0 + sl {
-                    let seg = unsafe { xt_ptr.slice(si * cfg.m_prime, cfg.m_prime) };
-                    self.soi.plan_m().execute_with_scratch(seg, scr);
-                }
-            });
-        }
-        let dt = policy.charge(
-            WorkKind::Fft,
-            ch as f64 * fft_flops(cfg.m_prime),
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.fft_large = dt;
-        trace.span_end("fft_m", comm.clock_now());
-
-        // 7. Project + demodulate each half-segment; the last rank
-        // appends the Nyquist bin to complete the packed half-spectrum.
-        trace.span_begin("demod", comm.clock_now());
-        let t0 = Instant::now();
-        let demod = &self.soi.coefficients().demod;
-        let mut y = Vec::with_capacity(out_pts + 1);
-        for si in 0..ch {
-            let seg = &xt[si * cfg.m_prime..(si + 1) * cfg.m_prime];
-            y.extend((0..cfg.m).map(|k| seg[k] * demod[k]));
-        }
-        let dt = policy.charge(
-            WorkKind::Mem,
-            2.0 * (out_pts * std::mem::size_of::<Complex64>()) as f64,
-            t0.elapsed().as_secs_f64(),
-        );
-        comm.charge_compute(dt);
-        times.scale = dt;
-        trace.span_end("demod", comm.clock_now());
-        if rank == ranks - 1 {
-            y.push(Complex64::new(nyq, 0.0));
-        }
-
         Ok((y, times))
     }
 }
@@ -773,7 +501,10 @@ mod tests {
         let m = n / p;
         let pieces = Cluster::ideal(p).run_collect(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-            distr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+            distr
+                .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+                .expect("soi run")
+                .0
         });
         pieces.into_iter().flatten().collect()
     }
@@ -821,7 +552,10 @@ mod tests {
         let (xr, distr, m) = (&x, &dist, n / p);
         let reports = Cluster::new(p, Fabric::ethernet_10g()).run(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-            distr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+            distr
+                .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+                .expect("soi run")
+                .0
         });
         for (_, rep) in &reports {
             assert_eq!(rep.stats.all_to_alls, 1, "SOI must use exactly one all-to-all");
@@ -841,7 +575,7 @@ mod tests {
         let rates = ChargePolicy::Rates(crate::rates::ComputeRates::paper_node());
         let out = Cluster::new(p, Fabric::ethernet_10g()).run(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-            distr.run(comm, local, rates).expect("soi run").1
+            distr.run_with(comm, local, rates, &ThreadPool::serial()).expect("soi run").1
         });
         for (times, rep) in &out {
             assert!(times.conv > 0.0);
@@ -923,7 +657,10 @@ mod tests {
         let y: Vec<Complex64> = Cluster::ideal(ranks)
             .run_collect(move |comm| {
                 let local = &xr[comm.rank() * per_rank..(comm.rank() + 1) * per_rank];
-                distr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+                distr
+                    .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+                    .expect("soi run")
+                    .0
             })
             .into_iter()
             .flatten()
@@ -949,7 +686,10 @@ mod tests {
             let y: Vec<Complex64> = Cluster::ideal(ranks)
                 .run_collect(move |comm| {
                     let local = &xr[comm.rank() * per_rank..(comm.rank() + 1) * per_rank];
-                    distr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+                    distr
+                        .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+                        .expect("soi run")
+                        .0
                 })
                 .into_iter()
                 .flatten()

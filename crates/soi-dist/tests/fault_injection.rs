@@ -65,7 +65,7 @@ fn undisturbed(dist: &DistSoiFft) -> Vec<Complex64> {
     Cluster::ideal(RANKS)
         .run_collect(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-            dr.run(comm, local, ChargePolicy::WallClock).unwrap().0
+            dr.run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial()).unwrap().0
         })
         .into_iter()
         .flatten()

@@ -47,7 +47,7 @@ fn simnet_spectrum(
         .run_collect(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
             let pool = ThreadPool::new(workers);
-            dr.run_with_hooks_scheduled(
+            dr.execute(
                 comm,
                 local,
                 ChargePolicy::WallClock,
@@ -75,7 +75,7 @@ fn wire_spectrum(
     let m = n / ranks;
     run_loopback(ranks, WireConfig::default(), move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run_with_hooks_scheduled(
+        dr.execute(
             comm,
             local,
             ChargePolicy::WallClock,

@@ -45,7 +45,7 @@ fn simnet_half_spectrum(
         .run_collect(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
             let pool = ThreadPool::new(workers);
-            dr.run_real_scheduled(comm, local, ChargePolicy::WallClock, &pool, schedule)
+            dr.execute(comm, local, ChargePolicy::WallClock, &pool, schedule, |_, _| Ok(()))
                 .expect("real soi run")
                 .0
         })
@@ -66,12 +66,13 @@ fn wire_half_spectrum(
     let m = n / ranks;
     run_loopback(ranks, WireConfig::default(), move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run_real_scheduled(
+        dr.execute(
             comm,
             local,
             ChargePolicy::WallClock,
             &ThreadPool::serial(),
             schedule,
+            |_, _| Ok(()),
         )
         .expect("real soi run")
         .0
@@ -84,17 +85,16 @@ fn wire_half_spectrum(
 
 #[test]
 fn distributed_real_matches_serial_packed_half_spectrum() {
-    // Identical math to the single-node transform_real, different data
+    // Identical math to the single-node real transform, different data
     // motion — the assembled half-spectrum (Nyquist included) must agree
     // to near machine precision for every rank geometry.
     let n = 1 << 14;
     let p = 8;
     let params = SoiParams::with_preset(n, p, AccuracyPreset::Digits12).unwrap();
-    let serial = SoiFft::new(&params).unwrap().transform_real(&real_signal(n)).unwrap();
+    let serial = SoiFft::new(&params).unwrap().transform(&real_signal(n)).unwrap();
     assert_eq!(serial.len(), n / 2 + 1);
     let dist = DistSoiFft::new(&params).unwrap();
     for ranks in [1usize, 2, 4] {
-        assert_eq!(dist.half_segments_per_rank(ranks), Ok(p / 2 / ranks));
         let got = simnet_half_spectrum(&dist, n, ranks, ExchangeSchedule::Barriered, 1);
         assert_eq!(got.len(), n / 2 + 1, "R={ranks}");
         let err = rel_l2_error(&got, &serial);
@@ -164,7 +164,10 @@ fn real_exchange_moves_at_most_055x_the_complex_bytes() {
     let (xr, dr) = (&xc, &dist);
     let complex_reports = Cluster::new(ranks, Fabric::ethernet_10g()).run(move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run(comm, local, ChargePolicy::WallClock).expect("complex run").0
+        dr
+            .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+            .expect("complex run")
+            .0
     });
     let complex_bytes: u64 = complex_reports.iter().map(|(_, r)| r.stats.bytes_sent).sum();
 
@@ -172,7 +175,10 @@ fn real_exchange_moves_at_most_055x_the_complex_bytes() {
     let (xr, dr) = (&x, &dist);
     let real_reports = Cluster::new(ranks, Fabric::ethernet_10g()).run(move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run_real(comm, local, ChargePolicy::WallClock).expect("real run").0
+        dr
+            .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+            .expect("real run")
+            .0
     });
     let real_bytes: u64 = real_reports.iter().map(|(_, r)| r.stats.bytes_sent).sum();
 
@@ -191,34 +197,30 @@ fn real_exchange_moves_at_most_055x_the_complex_bytes() {
 
 #[test]
 fn real_run_rejects_bad_geometries() {
+    // Each rank runs the geometry check before any traffic, so a bad
+    // geometry fails on every rank with the same typed error.
+    fn errors(params: &SoiParams, ranks: usize, local: usize) -> Vec<SoiError> {
+        let dist = DistSoiFft::new(params).unwrap();
+        Cluster::ideal(ranks).run_collect(|comm| {
+            let x = vec![0.0f64; local];
+            dist.run_with(comm, &x, ChargePolicy::WallClock, &ThreadPool::serial())
+                .unwrap_err()
+        })
+    }
     // Odd segment count: the Hermitian fold pairs lane s with P−s.
     let odd = SoiParams::with_preset(10000, 5, AccuracyPreset::Digits10).unwrap();
-    let dist = DistSoiFft::new(&odd).unwrap();
-    assert!(matches!(
-        dist.half_segments_per_rank(1),
-        Err(SoiError::BadSize(_))
-    ));
-
-    let params = SoiParams::with_preset(1 << 14, 8, AccuracyPreset::Digits10).unwrap();
-    let dist = DistSoiFft::new(&params).unwrap();
+    for e in errors(&odd, 1, 10000) {
+        assert!(matches!(e, SoiError::BadSize(_)), "got {e:?}");
+    }
     // 3 and 8 don't divide P/2 = 4.
-    assert!(matches!(
-        dist.half_segments_per_rank(3),
-        Err(SoiError::BadRankCount(_))
-    ));
-    assert!(matches!(
-        dist.half_segments_per_rank(8),
-        Err(SoiError::BadRankCount(_))
-    ));
+    let params = SoiParams::with_preset(1 << 14, 8, AccuracyPreset::Digits10).unwrap();
+    for ranks in [3usize, 8] {
+        for e in errors(&params, ranks, (1 << 14) / ranks) {
+            assert!(matches!(e, SoiError::BadRankCount(_)), "R={ranks}: got {e:?}");
+        }
+    }
     // Wrong local length surfaces as BadInput, on the rank.
-    let bad: Vec<SoiError> = Cluster::ideal(2)
-        .run_collect(|comm| {
-            let x = vec![0.0f64; 100];
-            dist.run_real(comm, &x, ChargePolicy::WallClock).unwrap_err()
-        })
-        .into_iter()
-        .collect();
-    for e in &bad {
+    for e in errors(&params, 2, 100) {
         assert!(matches!(e, SoiError::BadInput { .. }), "got {e:?}");
     }
 }

@@ -1,14 +1,16 @@
 //! Acceptance test for the tracing tentpole: a traced 4-rank
-//! [`DistSoiFft`] run must emit every SOI phase on every rank, the
-//! merged trace must pass the conservation validator, and a corrupted
-//! copy (one dropped message event) must fail it.
+//! [`DistSoiFft`] run, on complex and on real input, must emit every SOI
+//! phase on every rank, the merged trace must pass the conservation
+//! validator, and a corrupted copy (one dropped message event) must
+//! fail it.
 
-use soi_core::SoiParams;
+use soi_core::{Domain, SoiParams, ThreadPool};
 use soi_dist::{ChargePolicy, DistSoiFft};
 use soi_num::Complex64;
 use soi_simnet::{Cluster, Fabric};
-use soi_trace::{phase_totals, EventKind, TraceError};
+use soi_trace::{phase_totals, CollectiveOp, EventKind, TraceError, TraceSet};
 use soi_window::AccuracyPreset;
+use soi_wire::Pod;
 
 const RANKS: usize = 4;
 const PHASES: [&str; 7] = ["halo", "conv", "fft_p", "pack", "exchange", "fft_m", "demod"];
@@ -19,20 +21,44 @@ fn signal(n: usize) -> Vec<Complex64> {
         .collect()
 }
 
-#[test]
-fn traced_four_rank_run_emits_all_phases_and_validates() {
-    let n = 1 << 14;
-    let params = SoiParams::with_preset(n, RANKS, AccuracyPreset::Digits10).unwrap();
+/// One traced run of `x` (complex or real) on `RANKS` ranks at `p`
+/// segments; returns the merged trace.
+fn traced_run<S: Domain + Pod>(n: usize, p: usize, x: &[S]) -> TraceSet {
+    let params = SoiParams::with_preset(n, p, AccuracyPreset::Digits10).unwrap();
     let dist = DistSoiFft::new(&params).unwrap();
-    let x = signal(n);
-    let (xr, dr) = (&x, &dist);
+    let (xr, dr) = (x, &dist);
     let m = n / RANKS;
     let (out, traces) = Cluster::new(RANKS, Fabric::ethernet_10g()).run_traced(move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+        dr.run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+            .expect("soi run")
+            .0
     });
     assert_eq!(out.len(), RANKS);
+    traces
+}
+
+#[test]
+fn traced_four_rank_run_emits_all_phases_and_validates() {
+    let n = 1 << 14;
+    let x = signal(n);
+    let xr: Vec<f64> = x.iter().map(|v| v.re).collect();
+    // Complex input on P = R segments; real input on P = 2R, so each
+    // rank owns one of the P/2 kept segments. The real run adds the
+    // Nyquist allreduce to the collective sequence.
+    check_trace(traced_run(n, RANKS, &x), false);
+    check_trace(traced_run(n, 2 * RANKS, &xr), true);
+}
+
+fn check_trace(traces: TraceSet, nyquist_allreduce: bool) {
     assert_eq!(traces.ranks.len(), RANKS);
+    // The allreduce is built on an all-gather; only the real run has one.
+    for events in &traces.ranks {
+        let gathers = events.iter().any(|e| {
+            matches!(e.kind, EventKind::Collective { op: CollectiveOp::AllGather, .. })
+        });
+        assert_eq!(gathers, nyquist_allreduce);
+    }
 
     // Every rank reports every SOI phase, each completed (begin/end paired).
     for (rank, events) in traces.ranks.iter().enumerate() {

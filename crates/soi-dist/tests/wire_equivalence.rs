@@ -4,7 +4,7 @@
 //! stack — and when a rank dies mid-run on the real transport, the
 //! survivors must fail fast with a communication error, not hang.
 
-use soi_core::{SoiError, SoiParams};
+use soi_core::{SoiError, SoiParams, ThreadPool};
 use soi_dist::{ChargePolicy, DistSoiFft};
 use soi_num::Complex64;
 use soi_simnet::Cluster;
@@ -35,7 +35,7 @@ fn simnet_spectrum(ranks: usize) -> Vec<Complex64> {
     let m = N / ranks;
     let out = Cluster::ideal(ranks).run_collect(move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+        dr.run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial()).expect("soi run").0
     });
     out.into_iter().flatten().collect()
 }
@@ -49,7 +49,7 @@ fn wire_spectrum(ranks: usize) -> Vec<Complex64> {
     let m = N / ranks;
     let out = run_loopback(ranks, WireConfig::default(), move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+        dr.run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial()).expect("soi run").0
     })
     .expect("loopback mesh");
     out.into_iter().flatten().collect()
@@ -92,7 +92,7 @@ fn killed_rank_fails_survivors_with_comm_error_not_hang() {
     // Rank 3 "dies" before the run; survivors must surface SoiError::Comm.
     let out = soi_testkit::kill_and_run(comms, ranks - 1, Duration::from_secs(30), |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        dr.run(comm, local, ChargePolicy::WallClock)
+        dr.run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
     });
     for e in &out.errors {
         assert!(matches!(e, SoiError::Comm(_)), "got {e:?}");

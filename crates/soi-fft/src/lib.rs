@@ -42,7 +42,6 @@ pub mod codelet;
 pub(crate) mod colfft;
 pub mod ddfft;
 pub mod dft;
-pub mod fft2d;
 pub mod flops;
 pub mod fourstep;
 pub mod mixed;

@@ -11,7 +11,10 @@
 //! geometry is simply rebuilt on next use).
 
 use crate::proto::{Request, RequestKind, Samples};
-use soi_core::{SoiError, SoiFft, SoiParams, SoiRealWorkspace, SoiWorkspace, ThreadPool};
+use soi_core::{
+    Domain, SoiError, SoiFft, SoiParams, SoiRealWorkspace, SoiWorkspace, ThreadPool, Workspace,
+    Zoom,
+};
 use soi_num::Complex64;
 use soi_window::AccuracyPreset;
 use std::collections::HashMap;
@@ -63,50 +66,61 @@ impl Engine {
     /// Execute one request, returning the requested bins as a borrow of
     /// the engine's reused output buffer (valid until the next call).
     ///
-    /// Range validation (`arg < P` for segments, `arg < N` for bands)
-    /// must happen *before* this is called — the underlying pooled
-    /// entry points assert on out-of-range args rather than returning an
-    /// error.
+    /// An out-of-range segment or band start comes back as
+    /// [`SoiError::OutOfRange`]; the server validates `arg` before
+    /// queueing anyway, to reject outside input without an engine.
     pub fn execute(&mut self, req: &Request) -> Result<&[Complex64], SoiError> {
-        match (&req.kind, &req.samples) {
-            (RequestKind::Full, Samples::Complex(x)) => {
-                let ws = self
-                    .ws
-                    .get_or_insert_with(|| SoiWorkspace::with_pool(&self.soi, Arc::clone(&self.pool)));
-                self.out.resize(req.n, Complex64::ZERO);
-                self.soi.transform_into(x, &mut self.out, ws)?;
+        // Decode pairs samples with kind, so this is unreachable for
+        // wire-decoded requests; guard anyway for direct construction.
+        if req.kind.is_real() != matches!(req.samples, Samples::Real(_)) {
+            return Err(SoiError::BadSize(format!(
+                "request kind {} paired with wrong sample domain",
+                req.kind.name()
+            )));
+        }
+        let zoom = zoom_for(req.kind, req.arg);
+        match &req.samples {
+            Samples::Complex(x) => {
+                run(&self.soi, &self.pool, &mut self.ws, x, zoom, &mut self.out)?
             }
-            (RequestKind::RealFull, Samples::Real(x)) => {
-                let ws = self.real_ws.get_or_insert_with(|| {
-                    SoiRealWorkspace::with_pool(&self.soi, Arc::clone(&self.pool))
-                });
-                self.out.resize(req.n / 2 + 1, Complex64::ZERO);
-                self.soi.transform_real_into(x, &mut self.out, ws)?;
-            }
-            (RequestKind::Segment, Samples::Complex(x)) => {
-                self.out = self.soi.transform_segment_pooled(x, req.arg, &self.pool)?;
-            }
-            (RequestKind::Band, Samples::Complex(x)) => {
-                self.out = self.soi.transform_band_pooled(x, req.arg, &self.pool)?;
-            }
-            (RequestKind::RealSegment, Samples::Real(x)) => {
-                self.out = self
-                    .soi
-                    .transform_real_segment_pooled(x, req.arg, &self.pool)?;
-            }
-            (RequestKind::RealBand, Samples::Real(x)) => {
-                self.out = self.soi.transform_real_band_pooled(x, req.arg, &self.pool)?;
-            }
-            // Decode pairs samples with kind, so this is unreachable for
-            // wire-decoded requests; guard anyway for direct construction.
-            (kind, _) => {
-                return Err(SoiError::BadSize(format!(
-                    "request kind {} paired with wrong sample domain",
-                    kind.name()
-                )))
+            Samples::Real(x) => {
+                run(&self.soi, &self.pool, &mut self.real_ws, x, zoom, &mut self.out)?
             }
         }
         Ok(&self.out)
+    }
+}
+
+/// The bins a request of `kind` asks for: `None` for the full spectrum,
+/// otherwise the segment or band selected by `arg`.
+pub fn zoom_for(kind: RequestKind, arg: usize) -> Option<Zoom> {
+    match kind {
+        RequestKind::Full | RequestKind::RealFull => None,
+        RequestKind::Segment | RequestKind::RealSegment => Some(Zoom::Segment(arg)),
+        RequestKind::Band | RequestKind::RealBand => Some(Zoom::Band(arg)),
+    }
+}
+
+/// One request on input domain `S`: the full transform on the lazily
+/// built arena, or a zoom fanned across `pool`.
+fn run<S: Domain>(
+    soi: &SoiFft,
+    pool: &Arc<ThreadPool>,
+    ws: &mut Option<Workspace<S>>,
+    x: &[S],
+    zoom: Option<Zoom>,
+    out: &mut Vec<Complex64>,
+) -> Result<(), SoiError> {
+    match zoom {
+        None => {
+            let ws = ws.get_or_insert_with(|| Workspace::with_pool(soi, Arc::clone(pool)));
+            out.resize(S::out_len(soi.config().n), Complex64::ZERO);
+            soi.transform_into(x, out, ws)
+        }
+        Some(zoom) => {
+            *out = soi.transform_zoom(x, zoom, pool)?;
+            Ok(())
+        }
     }
 }
 

@@ -13,8 +13,8 @@
 //!
 //! * [`proto`] — the request/response/reject/stats payloads, explicit
 //!   little-endian via `soi-wire`'s pod codecs, so response spectra are
-//!   **bitwise identical** to a locally computed
-//!   `transform_into`/`transform_real_into` on the same input (the
+//!   **bitwise identical** to a locally computed `transform_into` or
+//!   `transform_zoom` on the same input (the
 //!   integration tests and `soi request --check` assert exactly that).
 //! * [`server`] — accept/reader threads feeding a bounded admission
 //!   queue; one executor draining it in geometry-coalesced batches
@@ -39,7 +39,7 @@ pub mod server;
 pub mod stats;
 
 pub use client::{Reply, ReplyStream, RequestSink, ServeClient};
-pub use engine::{preset_for_digits, Engine, EngineCache};
+pub use engine::{preset_for_digits, zoom_for, Engine, EngineCache};
 pub use proto::{
     Reject, RejectCode, Request, RequestKind, Response, Samples, StatsSnapshot, TenantStats,
 };

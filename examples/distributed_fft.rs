@@ -7,7 +7,7 @@
 //! cargo run --release --example distributed_fft
 //! ```
 
-use soi::core::SoiParams;
+use soi::core::{SoiParams, ThreadPool};
 use soi::dist::{BaselineFft, ChargePolicy, ComputeRates, DistSoiFft, ExchangeVariant};
 use soi::num::complex::rel_l2_error;
 use soi::num::Complex64;
@@ -33,7 +33,7 @@ fn main() {
     let (xr, distr) = (&x, &dist);
     let soi_out = Cluster::new(p, fabric.clone()).run(move |comm| {
         let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-        distr.run(comm, local, policy).expect("soi run")
+        distr.run_with(comm, local, policy, &ThreadPool::serial()).expect("soi run")
     });
     let soi_y: Vec<Complex64> = soi_out.iter().flat_map(|((y, _), _)| y.clone()).collect();
     let soi_makespan = soi_out.iter().map(|(_, r)| r.sim_time).fold(0.0, f64::max);

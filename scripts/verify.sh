@@ -119,6 +119,11 @@ rm -f "$serve_log"
 echo "==> cargo build --release --offline -p soi-bench --benches"
 cargo build --release --offline -p soi-bench --benches
 
+echo "==> perfbench: build the benchmark and run its unit tests"
+# perfbench is its own package (not a workspace member) that drives the
+# public transform API; building it here catches API drift it depends on.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> per-phase perf gate vs committed BENCH_pipeline.json"
 if [ "${SOI_PERF_SKIP:-0}" = "1" ]; then
     echo "    skipped (SOI_PERF_SKIP=1)"

@@ -5,7 +5,7 @@
 //! soi-simnet) → validated against the from-scratch FFT library (soi-fft)
 //! and the double-double reference (soi-num/soi-fft::ddfft).
 
-use soi::core::{SoiFft, SoiParams};
+use soi::core::{SoiFft, SoiParams, ThreadPool};
 use soi::dist::{BaselineFft, ChargePolicy, DistSoiFft, ExchangeVariant};
 use soi::num::complex::rel_l2_error;
 use soi::num::stats::snr_db_vs_pairs;
@@ -28,7 +28,10 @@ fn scatter_run_soi(n: usize, p: usize, preset: AccuracyPreset, fabric: Fabric) -
     Cluster::new(p, fabric)
         .run_collect(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-            dr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+            dr
+                .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+                .expect("soi run")
+                .0
         })
         .into_iter()
         .flatten()
@@ -114,7 +117,10 @@ fn comm_volume_advantage_holds_end_to_end() {
     let soi_bytes: u64 = Cluster::ideal(p)
         .run(move |comm| {
             let local = &xr[comm.rank() * m..(comm.rank() + 1) * m];
-            dr.run(comm, local, ChargePolicy::WallClock).expect("soi run").0
+            dr
+                .run_with(comm, local, ChargePolicy::WallClock, &ThreadPool::serial())
+                .expect("soi run")
+                .0
         })
         .iter()
         .map(|(_, r)| r.stats.bytes_sent)
